@@ -85,6 +85,7 @@ fn fill_array(config: NandConfig) -> NandArray {
                 .expect("fresh pages program");
         }
     }
+    array.settle();
     array
 }
 

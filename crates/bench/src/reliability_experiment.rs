@@ -41,6 +41,7 @@ impl Experiment for ReliabilityExperiment {
                     .map_err(array_error)?;
             }
         }
+        array.settle();
 
         // σ high enough that the 512-cell array shows raw errors.
         let ber = BerModel {

@@ -53,7 +53,7 @@ use std::collections::HashMap;
 
 use gnr_flash::backend::CellBackend;
 use gnr_flash::device::FloatingGateTransistor;
-use gnr_numerics::hash::{fnv1a_fold_bytes, fnv1a_fold_f64, FNV1A_OFFSET};
+use gnr_numerics::hash::fnv1a_fold_bytes;
 
 use crate::fault::FaultPlan;
 use crate::nand::{ArraySnapshot, NandArray, NandConfig};
@@ -720,6 +720,13 @@ impl FlashController {
     /// models may age the analog state of a mapped array in place.
     pub fn population_mut(&mut self) -> &mut crate::population::CellPopulation {
         self.array.population_mut()
+    }
+
+    /// Settles the array ([`NandArray::settle`]): replays every pending
+    /// pass-voltage disturb exposure, so `self.array().population()` may
+    /// be read. Changes no result, only when disturb is evaluated.
+    pub fn settle(&mut self) {
+        self.array.settle();
     }
 
     /// Logical capacity in pages: the physical page count less one
@@ -1621,45 +1628,21 @@ impl FlashController {
         Ok(())
     }
 
-    /// FNV-1a digest over the controller's *complete* state: every
-    /// population column (charge, wear, op counters, variation deltas),
-    /// page flags, per-block erase counts, the logical map, page
-    /// lifecycle, allocation cursors, wear-reason counters and the
-    /// fault-tolerance bookkeeping (grown-bad table, spare pool,
-    /// read-only flag, program-fail count). Two controllers with equal
-    /// digests continue any workload bit-identically — the
+    /// FNV-1a digest over the controller's *complete* state: the
+    /// array's settled state ([`NandArray::state_digest`]: charge, wear
+    /// and op-counter columns, per-block erase counts, page flags), the
+    /// logical map, page lifecycle, allocation cursors, wear-reason
+    /// counters and the fault-tolerance bookkeeping (grown-bad table,
+    /// spare pool, read-only flag, program-fail count). Two controllers
+    /// with equal digests continue any workload bit-identically — the
     /// restore-equals-uninterrupted assertion of checkpointed campaigns
-    /// and the crash-recovery sweep compares exactly this.
+    /// and the crash-recovery sweep compares exactly this. Equal before
+    /// and after [`Self::settle`].
     #[must_use]
     #[allow(clippy::cast_possible_wrap)]
     pub fn state_digest(&self) -> u64 {
-        let pop = self.array.population();
-        let mut h = FNV1A_OFFSET;
-        for &q in pop.charge_column() {
-            h = fnv1a_fold_f64(h, q);
-        }
-        for &w in pop.injected_charge_column() {
-            h = fnv1a_fold_f64(h, w);
-        }
-        for &ops in pop.program_ops_column() {
-            h = fnv1a_fold_bytes(h, &ops.to_le_bytes());
-        }
-        for &ops in pop.erase_ops_column() {
-            h = fnv1a_fold_bytes(h, &ops.to_le_bytes());
-        }
-        let cfg = self.array.config();
-        for b in 0..cfg.blocks {
-            let e = self.array.erase_count(b).expect("block index in range");
-            h = fnv1a_fold_bytes(h, &e.to_le_bytes());
-        }
-        for (b, p) in (0..cfg.blocks).flat_map(|b| (0..cfg.pages_per_block).map(move |p| (b, p))) {
-            let erased = self
-                .array
-                .is_page_erased(b, p)
-                .expect("page index in range");
-            h = fnv1a_fold_bytes(h, &[u8::from(erased)]);
-        }
-        let ppb = cfg.pages_per_block;
+        let mut h = self.array.state_digest();
+        let ppb = self.array.config().pages_per_block;
         for addr in &self.map {
             let slot: i64 = addr.map_or(-1, |a| (a.block * ppb + a.page) as i64);
             h = fnv1a_fold_bytes(h, &slot.to_le_bytes());

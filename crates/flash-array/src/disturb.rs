@@ -6,12 +6,21 @@
 //! thresholds. Because the per-event charge is minuscule, the disturb
 //! model uses the *instantaneous* current (linear in time) instead of the
 //! full transient — the error is second order in the disturb charge.
-
-// Array ops route disturb through
-// `crate::population::CellPopulation::apply_disturb_cells`, which
-// evaluates `disturb_charge` once per distinct `(variant, charge)` state
-// instead of once per cell; the per-cell helpers here remain the single
-// source of the physics (and of the cell-level parity baseline).
+//!
+//! A NAND array does not apply an exposure when it happens. Every page
+//! read or program exposes the other pages of its block, so
+//! [`crate::nand::NandArray`] keeps a `DisturbLedger`: each block logs
+//! its exposures since it was last settled, and each page keeps a cursor
+//! into that log. A page is *settled* — its pending exposures replayed
+//! in order — right before anything observes or changes its cells. Its
+//! own exposures are never pending: a page is settled right before its
+//! read or program, and logging that command's exposure moves the
+//! page's cursor past it. The replay evaluates
+//! [`disturb_charge`] once per distinct `(variant, charge)` state and
+//! exposure and adds it exactly as an immediate one-event sweep would,
+//! so deferral changes when the physics is evaluated, never its result.
+//! [`crate::population::CellPopulation::apply_disturb_cells`] remains the
+//! immediate sweep for callers that want one.
 
 use gnr_flash::device::FloatingGateTransistor;
 use gnr_units::{Charge, Time, Voltage};
@@ -43,6 +52,100 @@ impl Default for DisturbBias {
             program_exposure: Time::from_microseconds(100.0),
             read_exposure: Time::from_microseconds(10.0),
         }
+    }
+}
+
+impl DisturbBias {
+    /// Gate bias and duration of the exposure a page read
+    /// (`program == false`) or program gives the rest of its block.
+    #[must_use]
+    pub fn exposure(&self, program: bool) -> (Voltage, Time) {
+        if program {
+            (self.v_pass_program, self.program_exposure)
+        } else {
+            (self.v_pass_read, self.read_exposure)
+        }
+    }
+}
+
+/// Exposures a block logs before it is settled whole and its log
+/// cleared, per page of the block. Bounds both the log's memory and the
+/// replay a single page can owe.
+const LOG_PAGES_MULTIPLE: usize = 4;
+
+/// Deferred pass-voltage disturb of a NAND array (see the module docs):
+/// a per-block log of exposures since the block was last settled, and a
+/// per-page cursor to the first exposure the page has not taken yet.
+#[derive(Debug, Clone)]
+pub(crate) struct DisturbLedger {
+    pages_per_block: usize,
+    /// Per block, one entry per exposure: `true` for a program's.
+    logs: Vec<Vec<bool>>,
+    /// Indexed `block * pages_per_block + page`.
+    cursors: Vec<u32>,
+}
+
+impl DisturbLedger {
+    /// An empty ledger: every page settled.
+    pub(crate) fn new(blocks: usize, pages_per_block: usize) -> Self {
+        Self {
+            pages_per_block,
+            logs: vec![Vec::new(); blocks],
+            cursors: vec![0; blocks * pages_per_block],
+        }
+    }
+
+    /// Log length at which [`Self::record`] asks for a block settle.
+    pub(crate) fn bound(&self) -> usize {
+        LOG_PAGES_MULTIPLE * self.pages_per_block
+    }
+
+    /// Exposures logged against `block` since it was last settled.
+    pub(crate) fn log_len(&self, block: usize) -> usize {
+        self.logs[block].len()
+    }
+
+    /// `true` when no block has a logged exposure.
+    pub(crate) fn is_clear(&self) -> bool {
+        self.logs.iter().all(Vec::is_empty)
+    }
+
+    /// Logs the exposure a read or program of `page` gives the rest of
+    /// `block`; `page` itself must be settled. Returns `true` when the
+    /// log has reached [`Self::bound`] and the block should be settled.
+    pub(crate) fn record(&mut self, block: usize, page: usize, program: bool) -> bool {
+        self.logs[block].push(program);
+        // The exposure is the page's own, so it stays settled.
+        self.mark_settled(block, page);
+        self.log_len(block) >= self.bound()
+    }
+
+    /// The exposures `page` of `block` has not taken yet, in log order,
+    /// as `(gate bias, duration)` under `bias`.
+    pub(crate) fn pending<'a>(
+        &'a self,
+        block: usize,
+        page: usize,
+        bias: &'a DisturbBias,
+    ) -> impl Iterator<Item = (Voltage, Time)> + Clone + 'a {
+        let from = self.cursors[block * self.pages_per_block + page] as usize;
+        self.logs[block][from..]
+            .iter()
+            .map(move |&program| bias.exposure(program))
+    }
+
+    /// Marks every logged exposure of `block` as taken by `page`.
+    pub(crate) fn mark_settled(&mut self, block: usize, page: usize) {
+        self.cursors[block * self.pages_per_block + page] =
+            u32::try_from(self.logs[block].len()).expect("log length fits u32");
+    }
+
+    /// Drops `block`'s log once every page of it has taken every
+    /// exposure.
+    pub(crate) fn clear(&mut self, block: usize) {
+        self.logs[block].clear();
+        let first = block * self.pages_per_block;
+        self.cursors[first..first + self.pages_per_block].fill(0);
     }
 }
 

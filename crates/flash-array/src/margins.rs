@@ -184,6 +184,7 @@ mod tests {
         // Alternate bits on page 0; page 1 stays erased.
         let bits: Vec<bool> = (0..8).map(|i| i % 2 == 0).collect();
         array.program_page(0, 0, &bits).unwrap();
+        array.settle();
         array
     }
 

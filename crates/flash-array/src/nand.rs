@@ -5,7 +5,8 @@
 //! thus allowing many cells to be programmed at a time"). This module
 //! implements page-granularity programming with ISPP, block-granularity
 //! erase, program-inhibit bias on unselected pages and the associated
-//! disturb accounting.
+//! disturb accounting, deferred through a
+//! disturb ledger ([`crate::disturb`]) until something observes the cells.
 //!
 //! The cell state lives in a struct-of-arrays [`CellPopulation`]: flat
 //! per-cell columns sharing one device blueprint, so the array scales to
@@ -20,10 +21,11 @@ use gnr_flash::backend::CellBackend;
 use gnr_flash::device::FloatingGateTransistor;
 use gnr_flash::engine::BatchSimulator;
 use gnr_flash::threshold::LogicState;
-use gnr_units::Voltage;
+use gnr_numerics::hash::{fnv1a_fold_bytes, fnv1a_fold_f64, FNV1A_OFFSET};
+use gnr_units::{Charge, Voltage};
 
 use crate::cell::FlashCell;
-use crate::disturb::DisturbBias;
+use crate::disturb::{DisturbBias, DisturbLedger};
 use crate::fault::FaultPlan;
 use crate::ispp::{IsppEraser, IsppProgrammer};
 use crate::pe::operation::{erase_verify_cells, BlockEraseReport, EraseVerify, SoftProgram};
@@ -155,6 +157,8 @@ pub struct NandArray {
     /// Per-block erase counters (wear metric).
     erase_count: Vec<u64>,
     bias: DisturbBias,
+    /// Pass-voltage exposures not yet replayed into the cells.
+    ledger: DisturbLedger,
     programmer: IsppProgrammer,
     eraser: IsppEraser,
     batch: BatchSimulator,
@@ -212,6 +216,7 @@ impl NandArray {
             page_erased: vec![true; config.pages()],
             erase_count: vec![0; config.blocks],
             bias: DisturbBias::default(),
+            ledger: DisturbLedger::new(config.blocks, config.pages_per_block),
             programmer: IsppProgrammer::nominal(),
             eraser: IsppEraser::nominal(),
             batch: BatchSimulator::new(),
@@ -261,30 +266,127 @@ impl NandArray {
     }
 
     /// The struct-of-arrays cell state (margin scans, wear analyses).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the array is settled ([`Self::is_settled`]): page
+    /// reads and programs leave pass-voltage disturb pending on the
+    /// rest of their block, so the raw columns are stale until
+    /// [`Self::settle`] replays it.
     #[must_use]
     pub fn population(&self) -> &CellPopulation {
+        assert!(
+            self.is_settled(),
+            "NandArray::population on an unsettled array: call settle() first"
+        );
         &self.pop
     }
 
     /// Mutable cell-state access — the seam reliability models use to
     /// evolve the *analog* state between operations (retention bake,
-    /// synthetic wear fluence). Page bookkeeping (erased flags, wear
-    /// counters) is untouched: callers model charge motion, not page
-    /// lifecycle.
+    /// synthetic wear fluence). Settles the array first. Page
+    /// bookkeeping (erased flags, wear counters) is untouched: callers
+    /// model charge motion, not page lifecycle.
     pub fn population_mut(&mut self) -> &mut CellPopulation {
+        self.settle();
         &mut self.pop
     }
 
+    /// Settles every page: replays the pass-voltage disturb exposures
+    /// each page owes into its cells, in order, and clears the logs.
+    /// Call it before reading [`Self::population`]. The result is the
+    /// same whenever it is called — settling changes when the disturb
+    /// physics is evaluated, never its outcome — so the `&self` views
+    /// ([`Self::state_digest`], [`Self::snapshot_state`], [`Self::cell`])
+    /// read the same before and after it.
+    pub fn settle(&mut self) {
+        for block in 0..self.config.blocks {
+            self.settle_block(block);
+        }
+    }
+
+    /// `true` when no page owes a disturb exposure.
+    #[must_use]
+    pub fn is_settled(&self) -> bool {
+        self.ledger.is_clear()
+    }
+
+    /// Disturb exposures logged against `block` since it was last
+    /// settled. Never exceeds [`Self::disturb_log_bound`].
+    ///
+    /// # Panics
+    ///
+    /// Panics for a bad block index.
+    #[must_use]
+    pub fn disturb_log_len(&self, block: usize) -> usize {
+        self.ledger.log_len(block)
+    }
+
+    /// The log length at which a block is settled whole: a fixed
+    /// multiple of `pages_per_block`.
+    #[must_use]
+    pub fn disturb_log_bound(&self) -> usize {
+        self.ledger.bound()
+    }
+
     /// Captures the array's full serializable state (see
-    /// [`ArraySnapshot`]).
+    /// [`ArraySnapshot`]), settled: the copied charge column takes every
+    /// pending disturb exposure, so the snapshot restores to an array
+    /// that owes nothing. The array itself is untouched.
     #[must_use]
     pub fn snapshot_state(&self) -> ArraySnapshot {
+        let mut population = self.pop.snapshot();
+        let width = self.config.page_width;
+        for block in 0..self.config.blocks {
+            for page in 0..self.config.pages_per_block {
+                let base = self.cell_index(block, page, 0);
+                let charges = &mut population.charge[base..base + width];
+                self.replay_pending_into(block, page, base, charges);
+            }
+        }
         ArraySnapshot {
             config: self.config,
-            population: self.pop.snapshot(),
+            population,
             page_erased: self.page_erased.clone(),
             erase_count: self.erase_count.clone(),
         }
+    }
+
+    /// FNV-1a digest of the array's settled state: the charge column
+    /// (settled page by page into a scratch copy, the array untouched),
+    /// the wear columns, the per-block erase counts and the page flags.
+    /// Equal before and after [`Self::settle`].
+    #[must_use]
+    pub fn state_digest(&self) -> u64 {
+        let mut h = FNV1A_OFFSET;
+        let width = self.config.page_width;
+        let mut scratch = vec![0.0; width];
+        for block in 0..self.config.blocks {
+            for page in 0..self.config.pages_per_block {
+                let base = self.cell_index(block, page, 0);
+                scratch.copy_from_slice(&self.pop.charge_column()[base..base + width]);
+                self.replay_pending_into(block, page, base, &mut scratch);
+                for &q in &scratch {
+                    h = fnv1a_fold_f64(h, q);
+                }
+            }
+        }
+        for &w in self.pop.injected_charge_column() {
+            h = fnv1a_fold_f64(h, w);
+        }
+        for &ops in self.pop.program_ops_column() {
+            h = fnv1a_fold_bytes(h, &ops.to_le_bytes());
+        }
+        for &ops in self.pop.erase_ops_column() {
+            h = fnv1a_fold_bytes(h, &ops.to_le_bytes());
+        }
+        for &e in &self.erase_count {
+            h = fnv1a_fold_bytes(h, &e.to_le_bytes());
+        }
+        for &erased in &self.page_erased {
+            h = fnv1a_fold_bytes(h, &[u8::from(erased)]);
+        }
+        h
     }
 
     /// Rebuilds an array from a device blueprint and a snapshot — the
@@ -380,6 +482,7 @@ impl NandArray {
         recipe: &gnr_flash::engine::CycleRecipe,
         cycles: u64,
     ) -> Result<crate::population::EpochReport> {
+        self.settle();
         let indices: Vec<usize> = (0..self.pop.len()).collect();
         let report = self.pop.run_epoch(&indices, &self.batch, recipe, cycles)?;
         self.page_erased.fill(true);
@@ -415,9 +518,10 @@ impl NandArray {
     }
 
     /// Programs a page: cells with `false` bits are ISPP-programmed,
-    /// `true` bits are left erased (program-inhibited). Every cell of the
-    /// *other* pages in the block receives one pass-voltage disturb
-    /// exposure.
+    /// `true` bits are left erased (program-inhibited). The page is
+    /// settled first; the pass-voltage exposure the *other* pages of the
+    /// block receive is logged, and each of them takes it when it is
+    /// next settled.
     ///
     /// # Errors
     ///
@@ -444,6 +548,7 @@ impl NandArray {
             .enumerate()
             .filter_map(|(c, &bit)| (!bit).then_some(base + c))
             .collect();
+        self.settle_page(block, page);
         let programmer = self.programmer;
         let batch = self.batch.clone();
         let reports = self.pop.program_cells(&programmer, &selected, &batch);
@@ -452,7 +557,7 @@ impl NandArray {
         // block saw their pass-voltage exposure. Record both before
         // propagating the first error.
         self.page_erased[slot] = false;
-        self.disturb_block_except(block, page, self.bias.v_pass_program, true);
+        self.log_exposure(block, page, true);
         for report in reports {
             report?;
         }
@@ -470,20 +575,22 @@ impl NandArray {
         Ok(())
     }
 
-    /// Reads a page; unselected pages of the block receive one
-    /// read-disturb exposure each.
+    /// Reads a page, settled first; the read-disturb exposure the
+    /// unselected pages of the block receive is logged like a
+    /// program's (see [`Self::program_page`]).
     ///
     /// # Errors
     ///
     /// Address errors.
     pub fn read_page(&mut self, block: usize, page: usize) -> Result<Vec<bool>> {
         self.page_slot(block, page)?;
+        self.settle_page(block, page);
         let base = self.cell_index(block, page, 0);
         let mut bits = (base..base + self.config.page_width)
             .map(|i| Ok(self.pop.read(i)? == LogicState::Erased1))
             .collect::<Result<Vec<bool>>>()?;
         self.corrupt_read(block, base, &mut bits);
-        self.disturb_block_except(block, page, self.bias.v_pass_read, false);
+        self.log_exposure(block, page, false);
         Ok(bits)
     }
 
@@ -511,6 +618,7 @@ impl NandArray {
                 len: self.config.blocks,
             });
         }
+        self.settle_block(block);
         // Injected grown-bad block: the erase is attempted (the wear
         // counter advances) but the device reports a failed status and
         // the cells keep their state — the data stays readable so the
@@ -550,7 +658,7 @@ impl NandArray {
     /// Programs several pages **on distinct blocks** as one merged
     /// submission: the selected cells of every page fan out through the
     /// batch engine together (one grouped run per distinct cell state
-    /// across the whole round), then each block takes its pass-voltage
+    /// across the whole round), then each block logs its pass-voltage
     /// disturb exposure. Per-job results are index-aligned with `jobs`.
     ///
     /// Because the pages sit on distinct blocks they touch disjoint
@@ -592,6 +700,7 @@ impl NandArray {
                 }
                 Ok(_) => {}
             }
+            self.settle_page(block, page);
             let base = self.cell_index(block, page, 0);
             let start = selected.len();
             selected.extend(
@@ -611,7 +720,7 @@ impl NandArray {
             };
             let slot = self.page_slot(block, page).expect("validated above");
             self.page_erased[slot] = false;
-            self.disturb_block_except(block, page, self.bias.v_pass_program, true);
+            self.log_exposure(block, page, true);
             let mut outcome = Ok(());
             for report in &reports[start..end] {
                 if let Err(e) = report {
@@ -639,7 +748,7 @@ impl NandArray {
 
     /// Reads several pages **on distinct blocks**: the bit computation
     /// fans out per plane queue (one queue per page) through
-    /// [`BatchSimulator::scatter_queues`], then each block takes its
+    /// [`BatchSimulator::scatter_queues`], then each block logs its
     /// read-disturb exposure. Results are index-aligned with `pages`.
     ///
     /// # Panics
@@ -656,6 +765,7 @@ impl NandArray {
             match self.page_slot(block, page) {
                 Err(e) => results.push(Some(Err(e))),
                 Ok(_) => {
+                    self.settle_page(block, page);
                     let base = self.cell_index(block, page, 0);
                     queues.push((base..base + width).collect());
                     valid.push(j);
@@ -669,7 +779,7 @@ impl NandArray {
             .scatter_queues(queues, |_, i| Ok(pop.read(i)? == LogicState::Erased1));
         for (page_bits, &j) in bits.into_iter().zip(&valid) {
             let (block, page) = pages[j];
-            self.disturb_block_except(block, page, self.bias.v_pass_read, false);
+            self.log_exposure(block, page, false);
             let mut sensed = page_bits.into_iter().collect::<Result<Vec<bool>>>();
             if let Ok(bits) = &mut sensed {
                 self.corrupt_read(block, self.cell_index(block, page, 0), bits);
@@ -707,6 +817,7 @@ impl NandArray {
                 spans.push(None);
                 continue;
             }
+            self.settle_block(block);
             // Injected grown-bad block: attempted (wear advances) but
             // skipped from the merged submission — the per-op ordering
             // of `erase_block` exactly.
@@ -779,6 +890,7 @@ impl NandArray {
                 len: self.config.blocks,
             });
         }
+        self.settle_block(block);
         if self
             .faults
             .as_ref()
@@ -799,8 +911,9 @@ impl NandArray {
     }
 
     /// Materialises one cell as an owning [`FlashCell`] for analyses
-    /// (threshold maps, disturb margins). Clones the shared device —
-    /// bulk scans should use [`Self::population`] instead.
+    /// (threshold maps, disturb margins), with its settled charge; the
+    /// array is untouched. Clones the shared device — bulk scans should
+    /// use [`Self::population`] instead.
     ///
     /// # Errors
     ///
@@ -814,7 +927,12 @@ impl NandArray {
                 len: self.config.page_width,
             });
         }
-        self.pop.cell(self.cell_index(block, page, column))
+        let i = self.cell_index(block, page, column);
+        let mut cell = self.pop.cell(i)?;
+        let mut charge = [cell.charge().as_coulombs()];
+        self.replay_pending_into(block, page, i, &mut charge);
+        cell.set_charge(Charge::from_coulombs(charge[0]));
+        Ok(cell)
     }
 
     /// Flat population index of a cell address.
@@ -823,24 +941,54 @@ impl NandArray {
         (block * self.config.pages_per_block + page) * self.config.page_width + column
     }
 
-    /// One disturb exposure at `vgs` on every page of `block` except
-    /// `page` (grouped per distinct cell state).
-    fn disturb_block_except(&mut self, block: usize, page: usize, vgs: Voltage, program: bool) {
-        let width = self.config.page_width;
-        let mut indices = Vec::with_capacity((self.config.pages_per_block - 1) * width);
-        for p in 0..self.config.pages_per_block {
-            if p == page {
-                continue;
-            }
-            let base = self.cell_index(block, p, 0);
-            indices.extend(base..base + width);
+    /// Logs the exposure a read or program of `page` gives the rest of
+    /// `block`, and settles the block whole once its log reaches the
+    /// bound.
+    fn log_exposure(&mut self, block: usize, page: usize, program: bool) {
+        gnr_telemetry::counter_add!("disturb.events", 1);
+        if self.ledger.record(block, page, program) {
+            self.settle_block(block);
         }
-        let duration = if program {
-            self.bias.program_exposure
-        } else {
-            self.bias.read_exposure
-        };
-        self.pop.apply_disturb_cells(&indices, vgs, duration, 1);
+    }
+
+    /// Replays the exposures one page owes into its cells.
+    fn settle_page(&mut self, block: usize, page: usize) {
+        let _zone = gnr_telemetry::zone!("nand.disturb_settle");
+        self.replay_page(block, page);
+    }
+
+    /// Replays every exposure `block` logged into its pages, then clears
+    /// the log.
+    fn settle_block(&mut self, block: usize) {
+        if self.ledger.log_len(block) == 0 {
+            return;
+        }
+        let _zone = gnr_telemetry::zone!("nand.disturb_settle");
+        for page in 0..self.config.pages_per_block {
+            self.replay_page(block, page);
+        }
+        self.ledger.clear(block);
+    }
+
+    fn replay_page(&mut self, block: usize, page: usize) {
+        let base = self.cell_index(block, page, 0);
+        let cells = base..base + self.config.page_width;
+        let replays = self
+            .pop
+            .replay_disturb(cells, self.ledger.pending(block, page, &self.bias));
+        if replays > 0 {
+            gnr_telemetry::counter_add!("disturb.page_settles", 1);
+            gnr_telemetry::counter_add!("disturb.replays", replays);
+        }
+        self.ledger.mark_settled(block, page);
+    }
+
+    /// Replays the exposures `page` of `block` owes onto `charges`, a
+    /// copy of the charges of cells `first..` of that page, leaving the
+    /// array untouched.
+    fn replay_pending_into(&self, block: usize, page: usize, first: usize, charges: &mut [f64]) {
+        let pending = self.ledger.pending(block, page, &self.bias);
+        self.pop.replay_disturb_into(first, charges, pending);
     }
 
     fn page_slot(&self, block: usize, page: usize) -> Result<usize> {
@@ -974,6 +1122,7 @@ mod tests {
         let mut a = tiny();
         a.program_page(0, 0, &[false; 4]).unwrap();
         let view = a.cell(0, 0, 2).unwrap();
+        a.settle();
         let i = a.cell_index(0, 0, 2);
         assert_eq!(
             view.charge().as_coulombs(),

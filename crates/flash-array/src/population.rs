@@ -16,10 +16,11 @@
 //! # Memory model
 //!
 //! Per cell the population holds exactly the state columns: charge,
-//! injected-charge wear, two op counters, two variation deltas and a
-//! 4-byte variant index — [`CellPopulation::bytes_per_cell`] reports the
-//! figure (52 B). A million-cell NAND array is ~50 MB of state instead
-//! of gigabytes of cloned device structs.
+//! injected-charge wear, two op counters and a 4-byte variant index —
+//! [`CellPopulation::bytes_per_cell`] reports the figure (36 B). The
+//! variation deltas live once per variant, not per cell; snapshots
+//! expand them back into per-cell columns. A million-cell NAND array is
+//! ~36 MB of state instead of gigabytes of cloned device structs.
 //!
 //! # Determinism and parity
 //!
@@ -46,14 +47,18 @@
 //! column through [`ChargeBalanceEngine::pulse_final_charges`]. That
 //! turns per-group scalar flow-map queries (each a cache probe, a
 //! binary search and a Hermite sample) into one cache probe and one
-//! amortised monotone segment walk per column. Disturb accumulation is already a
-//! closed-form per-`(variant, charge)` memo and needs no engine at all.
+//! amortised monotone segment walk per column. Disturb needs no engine
+//! at all: [`crate::nand::NandArray`] logs pass-voltage exposures per
+//! block and replays a page's pending ones, once per distinct
+//! `(variant, charge)` state, only when something observes the page
+//! (see `replay_disturb` below and [`crate::disturb`]).
 //! Arbitrary *closures* (the generic `run_grouped` path) keep the scalar
 //! per-group [`FlashCell`] loop — an opaque `Fn(&mut FlashCell, ...)`
 //! cannot be batched — but reuse one scratch cell + engine per variant
 //! per chunk instead of rebuilding them per group.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use gnr_flash::backend::{BackendKind, CellBackend, PcmDevice};
@@ -65,7 +70,7 @@ use gnr_flash::threshold::{classify, LogicState, ReadModel};
 use gnr_flash::variation::standard_normal;
 use gnr_numerics::hash::FnvHashMap;
 use gnr_numerics::stats::Summary;
-use gnr_units::{Charge, Energy, Length, Voltage};
+use gnr_units::{Charge, Energy, Length, Time, Voltage};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -222,8 +227,6 @@ pub struct CellPopulation {
     injected_charge: Vec<f64>,
     program_ops: Vec<u64>,
     erase_ops: Vec<u64>,
-    xto_delta: Vec<f64>,
-    barrier_delta_ev: Vec<f64>,
     variant_of: Vec<u32>,
     // --- shared, deduplicated device builds ---
     variants: Vec<DeviceVariant>,
@@ -236,6 +239,56 @@ pub struct CellPopulation {
 /// hashing both key on this.
 fn variant_key(xto: f64, barrier_ev: f64) -> (u64, u64) {
     (xto.to_bits(), barrier_ev.to_bits())
+}
+
+/// The kernel of [`CellPopulation::replay_disturb`]: `charges[k]` is a
+/// cell of variant `variant_of[k]`.
+fn replay_disturb<I>(
+    variants: &[DeviceVariant],
+    pcm: Option<PcmDevice>,
+    variant_of: &[u32],
+    charges: &mut [f64],
+    exposures: I,
+) -> u64
+where
+    I: Iterator<Item = (Voltage, Time)> + Clone,
+{
+    if exposures.clone().next().is_none() {
+        return 0;
+    }
+    // A page's cells arrive in long runs of one state, so the same
+    // last-key register and FNV memo as `apply_disturb_cells`.
+    let mut settled: FnvHashMap<(u32, u64), f64> = FnvHashMap::default();
+    let mut last: Option<((u32, u64), f64)> = None;
+    let mut replays = 0;
+    for (q, &variant) in charges.iter_mut().zip(variant_of) {
+        let key = (variant, q.to_bits());
+        let end = match last {
+            Some((k, end)) if k == key => end,
+            _ => {
+                let end = *settled.entry(key).or_insert_with(|| {
+                    let device = &variants[variant as usize].device;
+                    exposures.clone().fold(*q, |x, (vgs, duration)| {
+                        replays += 1;
+                        match pcm {
+                            // Sub-threshold biases leave PCM untouched.
+                            Some(pcm) => pcm
+                                .pulse_final_fraction(vgs.as_volts(), duration.as_seconds(), x)
+                                .unwrap_or(x),
+                            None => {
+                                x + disturb_charge(device, Charge::from_coulombs(x), vgs, duration)
+                                    .as_coulombs()
+                            }
+                        }
+                    })
+                });
+                last = Some((key, end));
+                end
+            }
+        };
+        *q = end;
+    }
+    replays
 }
 
 /// Outcome of one representative simulation shared by a state group:
@@ -279,8 +332,6 @@ impl CellPopulation {
             injected_charge: vec![0.0; n],
             program_ops: vec![0; n],
             erase_ops: vec![0; n],
-            xto_delta: vec![0.0; n],
-            barrier_delta_ev: vec![0.0; n],
             variant_of: vec![0; n],
             variants: vec![nominal],
             backend_kind: BackendKind::GnrFloatingGate,
@@ -455,16 +506,24 @@ impl CellPopulation {
         Ok(pop)
     }
 
-    /// Captures the per-cell state columns for serialization.
+    /// Captures the per-cell state columns for serialization; the
+    /// variation deltas expand from the variant table into per-cell
+    /// columns.
     #[must_use]
     pub fn snapshot(&self) -> PopulationSnapshot {
+        let delta_column = |delta: fn(&DeviceVariant) -> f64| -> Vec<f64> {
+            self.variant_of
+                .iter()
+                .map(|&v| delta(&self.variants[v as usize]))
+                .collect()
+        };
         PopulationSnapshot {
             charge: self.charge.clone(),
             injected_charge: self.injected_charge.clone(),
             program_ops: self.program_ops.clone(),
             erase_ops: self.erase_ops.clone(),
-            xto_delta: self.xto_delta.clone(),
-            barrier_delta_ev: self.barrier_delta_ev.clone(),
+            xto_delta: delta_column(|v| v.xto_delta),
+            barrier_delta_ev: delta_column(|v| v.barrier_delta_ev),
         }
     }
 
@@ -485,9 +544,9 @@ impl CellPopulation {
     /// amortise to zero per cell).
     #[must_use]
     pub fn bytes_per_cell(&self) -> usize {
-        // charge, injected_charge, xto_delta, barrier_delta_ev (f64);
-        // program_ops, erase_ops (u64); variant_of (u32).
-        4 * core::mem::size_of::<f64>()
+        // charge, injected_charge (f64); program_ops, erase_ops (u64);
+        // variant_of (u32).
+        2 * core::mem::size_of::<f64>()
             + 2 * core::mem::size_of::<u64>()
             + core::mem::size_of::<u32>()
     }
@@ -575,8 +634,8 @@ impl CellPopulation {
     ///
     /// [`ArrayError::AddressOutOfRange`] for a bad index.
     pub fn variation_deltas(&self, i: usize) -> Result<(f64, f64)> {
-        self.check(i)?;
-        Ok((self.xto_delta[i], self.barrier_delta_ev[i]))
+        let v = &self.variants[self.variant(i)?];
+        Ok((v.xto_delta, v.barrier_delta_ev))
     }
 
     /// Threshold shift of cell `i` — identical arithmetic to
@@ -745,7 +804,7 @@ impl CellPopulation {
             Some(idx) => u32::try_from(idx).expect("variant table fits u32"),
             None => self.push_variant(xto, barrier_ev)?,
         };
-        self.assign_variation(i, xto, barrier_ev, variant);
+        self.variant_of[i] = variant;
         Ok(())
     }
 
@@ -768,14 +827,8 @@ impl CellPopulation {
                 v
             }
         };
-        self.assign_variation(i, xto, barrier_ev, variant);
-        Ok(())
-    }
-
-    fn assign_variation(&mut self, i: usize, xto: f64, barrier_ev: f64, variant: u32) {
-        self.xto_delta[i] = xto;
-        self.barrier_delta_ev[i] = barrier_ev;
         self.variant_of[i] = variant;
+        Ok(())
     }
 
     /// Hash index over the current variant table, keyed on delta bits.
@@ -878,8 +931,10 @@ impl CellPopulation {
     }
 
     /// Accumulates `events` disturb exposures at `vgs` on every listed
-    /// cell — the linearised model of [`crate::disturb`], evaluated once
-    /// per distinct `(variant, charge)` state instead of once per cell.
+    /// cell at once — the linearised model of [`crate::disturb`],
+    /// evaluated once per distinct `(variant, charge)` state instead of
+    /// once per cell. NAND commands defer their exposures instead (see
+    /// `replay_disturb`); this is the immediate sweep.
     pub fn apply_disturb_cells(
         &mut self,
         indices: &[usize],
@@ -905,13 +960,12 @@ impl CellPopulation {
             }
             return;
         }
-        // A program or read disturbs every sibling page of its block, so
-        // this loop runs ~10⁴ cells per array operation and dominates
-        // workload-replay wall time. Two layers keep the per-cell cost at
-        // a few nanoseconds: a last-key register for the long runs of
-        // identical (variant, charge) state that page-granular operations
-        // leave behind, and a word-folding FNV map (not SipHash) for the
-        // handful of distinct states that remain.
+        // A sweep over a block's sibling pages is ~10⁴ cells. Two layers
+        // keep the per-cell cost at a few nanoseconds: a last-key
+        // register for the long runs of identical (variant, charge)
+        // state that page-granular operations leave behind, and a
+        // word-folding FNV map (not SipHash) for the handful of distinct
+        // states that remain.
         let mut memo: FnvHashMap<(u32, u64), f64> = FnvHashMap::default();
         let mut last: Option<((u32, u64), f64)> = None;
         let scale = events as f64;
@@ -937,6 +991,36 @@ impl CellPopulation {
             // Bit-identical to `disturb::apply_disturb` on a FlashCell.
             self.charge[i] += dq * scale;
         }
+    }
+
+    /// Replays pass-voltage disturb `exposures`, in order, on the cells
+    /// `cells`: one [`disturb_charge`] evaluation per distinct
+    /// `(variant, charge)` state and exposure, each added exactly as a
+    /// one-event [`Self::apply_disturb_cells`] sweep adds it, so the
+    /// cells end bit-identical to taking the exposures one sweep at a
+    /// time. Returns the evaluations made.
+    pub(crate) fn replay_disturb<I>(&mut self, cells: Range<usize>, exposures: I) -> u64
+    where
+        I: Iterator<Item = (Voltage, Time)> + Clone,
+    {
+        replay_disturb(
+            &self.variants,
+            self.pcm,
+            &self.variant_of[cells.clone()],
+            &mut self.charge[cells],
+            exposures,
+        )
+    }
+
+    /// [`Self::replay_disturb`] onto a copy, leaving the population
+    /// untouched: `charges` holds the charges of the cells `first..` and
+    /// receives their replayed values.
+    pub(crate) fn replay_disturb_into<I>(&self, first: usize, charges: &mut [f64], exposures: I)
+    where
+        I: Iterator<Item = (Voltage, Time)> + Clone,
+    {
+        let variant_of = &self.variant_of[first..first + charges.len()];
+        replay_disturb(&self.variants, self.pcm, variant_of, charges, exposures);
     }
 
     /// Marks one completed erase *operation* on every listed cell — the
@@ -1525,7 +1609,7 @@ mod tests {
         let pop = CellPopulation::paper(1000);
         assert_eq!(pop.len(), 1000);
         assert_eq!(pop.variant_count(), 1);
-        assert_eq!(pop.bytes_per_cell(), 52);
+        assert_eq!(pop.bytes_per_cell(), 36);
         assert_eq!(pop.read(0).unwrap(), LogicState::Erased1);
     }
 

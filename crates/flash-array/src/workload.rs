@@ -581,7 +581,9 @@ pub struct WorkloadReport {
 /// record their own trajectories against the same op clock without the
 /// workload layer depending on them.
 pub trait ReplayObserver {
-    /// Observes the controller after `op_index` operations.
+    /// Observes the controller after `op_index` operations. The replayer
+    /// and [`CampaignRunner::step`] settle the array first
+    /// ([`FlashController::settle`]), so the population may be read.
     ///
     /// # Errors
     ///
@@ -647,6 +649,9 @@ fn intern_metric_catalogue() {
     gnr_telemetry::counter_add!("population.groups", 0);
     gnr_telemetry::counter_add!("population.epoch.probes", 0);
     gnr_telemetry::counter_add!("population.epoch.fallbacks", 0);
+    gnr_telemetry::counter_add!("disturb.events", 0);
+    gnr_telemetry::counter_add!("disturb.page_settles", 0);
+    gnr_telemetry::counter_add!("disturb.replays", 0);
     gnr_telemetry::counter_add!("ftl.host_pages_written", 0);
     gnr_telemetry::counter_add!("ftl.reclaims", 0);
     gnr_telemetry::counter_add!("ftl.gc.erases", 0);
@@ -853,6 +858,7 @@ pub fn replay_streamed(
         erases += counts.erases;
         i = boundary;
         if options.snapshot_interval > 0 && i % options.snapshot_interval == 0 {
+            controller.settle();
             snapshots.push(take_snapshot(controller, i, options.margin_scan)?);
             observer.observe(controller, i)?;
         }
@@ -864,6 +870,7 @@ pub fn replay_streamed(
     // observers twice); and without this fallback, a trace whose length
     // is not a multiple of the cadence would drop its final state.
     if snapshots.last().map(|s| s.op_index) != Some(total) {
+        controller.settle();
         snapshots.push(take_snapshot(controller, total, options.margin_scan)?);
         observer.observe(controller, total)?;
     }
@@ -1170,6 +1177,7 @@ impl<'a> CampaignRunner<'a> {
                 // records trajectories through its observer instead.
                 let (mut wl, mut rl) = (Vec::new(), Vec::new());
                 execute_segment(controller, &source, ops_done, end, &mut wl, &mut rl)?;
+                controller.settle();
                 observer.observe(controller, round * total + end)?;
                 if end >= total {
                     self.state.round += 1;
@@ -1287,7 +1295,7 @@ mod tests {
         assert_eq!(report.writes, 4);
         assert_eq!(report.cells_written, 32);
         assert!(report.cells_per_second > 0.0);
-        assert_eq!(report.bytes_per_cell, 52);
+        assert_eq!(report.bytes_per_cell, 36);
         let last = report.snapshots.last().unwrap();
         assert_eq!(last.live_pages, 4);
         assert!(last.margins.as_ref().unwrap().worst_case_margin.unwrap() > 0.5);

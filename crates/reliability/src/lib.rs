@@ -57,6 +57,7 @@
 //!     page_width: 16,
 //! });
 //! array.program_page(0, 0, &[false; 16]).unwrap();
+//! array.settle(); // replay the pending pass-voltage disturb
 //!
 //! let codec = EccConfig::Bch { m: 4, t: 2 }.build().unwrap();
 //! let ber = BerModel::default();

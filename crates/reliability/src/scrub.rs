@@ -136,6 +136,7 @@ pub fn scrub(
             page_width: width,
         });
     }
+    controller.settle();
     let batch = controller.array().batch().clone();
     let pop = controller.array().population();
     // One context build serves the re-centering histogram and every
@@ -326,6 +327,7 @@ mod tests {
         let (mut c, payloads) = loaded_controller(codec.as_ref());
         // Retention-style degradation: one stored-charge bit per page
         // decays toward the reference until its read flips.
+        c.settle();
         for lpn in 0..c.logical_capacity() {
             let addr = c.physical_of(lpn).unwrap();
             let start = c.array().cell_index(addr.block, addr.page, 0);

@@ -262,6 +262,7 @@ mod tests {
                 array.program_page(block, page, &bits).unwrap();
             }
         }
+        array.settle();
         array
     }
 

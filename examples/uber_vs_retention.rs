@@ -33,6 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             array.program_page(block, page, &bits)?;
         }
     }
+    array.settle();
 
     // σ sized so a 1k-cell array shows measurable raw error rates.
     let ber = BerModel {

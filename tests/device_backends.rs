@@ -168,6 +168,7 @@ fn uber_point(backend: &CellBackend) -> gnr_reliability::uber::ReliabilityPoint 
             array.program_page(block, page, &bits).expect("programs");
         }
     }
+    array.settle();
     let ber = BerModel::default();
     let truth = ber.noiseless_bits(array.population(), array.batch());
     let codec = EccConfig::HammingSecDed { data_bits: 11 }

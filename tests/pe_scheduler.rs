@@ -145,6 +145,8 @@ fn scheduled_command_streams_match_per_command_execution() {
             }
         }
     }
+    scheduled_array.settle();
+    reference.settle();
     assert_eq!(
         scheduled_array.population().snapshot(),
         reference.population().snapshot()

@@ -24,12 +24,14 @@ fn margins_survive_disturb_hammering() {
     let mut array = small_array();
     let bits: Vec<bool> = (0..8).map(|i| i % 2 == 0).collect();
     array.program_page(0, 0, &bits).unwrap();
+    array.settle();
     let before = analyze(&array).unwrap().worst_case_margin.unwrap();
 
     // 2000 reads of page 1 disturb page 0 (and vice versa).
     for _ in 0..2000 {
         let _ = array.read_page(0, 1).unwrap();
     }
+    array.settle();
     let after = analyze(&array).unwrap().worst_case_margin.unwrap();
     assert!(after > 0.5, "margin after hammering = {after} V");
     // Disturb adds electrons everywhere; the *relative* margin loss is
@@ -50,6 +52,7 @@ fn vt_histogram_tracks_programming() {
     assert_eq!(erased_mass, fresh.total());
 
     array.program_page(0, 0, &[false; 8]).unwrap();
+    array.settle();
     let after = vt_histogram(&array, -1.0, 4.0, 8).unwrap();
     let programmed_mass: usize = after.counts()[4..].iter().sum();
     assert_eq!(programmed_mass, 8, "{:?}", after.counts());
@@ -188,6 +191,7 @@ fn variation_aware_array_keeps_margins_open() {
     let bits: Vec<bool> = (0..8).map(|i| i % 2 == 0).collect();
     array.program_page(0, 0, &bits).unwrap();
     assert_eq!(array.read_page(0, 0).unwrap(), bits);
+    array.settle();
     let report = analyze(&array).unwrap();
     assert!(report.worst_case_margin.unwrap() > 0.5, "margin {report:?}");
 }
