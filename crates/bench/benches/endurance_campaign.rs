@@ -101,7 +101,7 @@ fn assert_resume_digest() -> String {
         state: runner.state(),
     })
     .expect("checkpoint serializes");
-    let decoded = CampaignCheckpoint::from_json(&json).expect("checkpoint decodes");
+    let decoded: CampaignCheckpoint = serde_json::from_str(&json).expect("checkpoint decodes");
     let mut resumed = FlashController::restore(
         FloatingGateTransistor::mlgnr_cnt_paper(),
         decoded.controller,

@@ -72,6 +72,7 @@ fn run_churn(config: NandConfig, smoke: bool, batch: BatchSimulator) -> ChurnNum
         &mut controller,
         &WorkloadTrace::full_array_cycle(config),
         &options,
+        &mut (),
     )
     .expect("full-array cycle replays");
     let capacity = controller.logical_capacity();
@@ -84,6 +85,7 @@ fn run_churn(config: NandConfig, smoke: bool, batch: BatchSimulator) -> ChurnNum
         &mut controller,
         &WorkloadTrace::gc_churn(churn_ops, capacity, 0xbead),
         &options,
+        &mut (),
     )
     .expect("gc churn replays");
     let wear = &churn.snapshots.last().expect("terminal snapshot").wear;
@@ -109,7 +111,8 @@ fn run_scheduler(config: NandConfig, planes: usize, mode: EngineMode) -> f64 {
         NandArray::new(config).with_batch(BatchSimulator::new().with_mode(mode)),
     )
     .with_planes(planes);
-    let report = replay(&mut controller, &trace, &options).expect("scheduler trace replays");
+    let report =
+        replay(&mut controller, &trace, &options, &mut ()).expect("scheduler trace replays");
     #[allow(clippy::cast_precision_loss)]
     let ops_per_second = trace.ops.len() as f64 / report.wall_seconds.max(1e-12);
     ops_per_second

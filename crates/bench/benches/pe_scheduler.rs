@@ -50,10 +50,10 @@ fn measure_scheduler(config: NandConfig, planes: usize) -> SchedulerNumbers {
 
     let mut sequential =
         FlashController::over(NandArray::new(config).with_batch(BatchSimulator::sequential()));
-    let seq_report = replay(&mut sequential, &trace, &options).expect("sequential replay");
+    let seq_report = replay(&mut sequential, &trace, &options, &mut ()).expect("sequential replay");
 
     let mut scheduled = FlashController::new(config).with_planes(planes);
-    let sched_report = replay(&mut scheduled, &trace, &options).expect("scheduled replay");
+    let sched_report = replay(&mut scheduled, &trace, &options, &mut ()).expect("scheduled replay");
 
     let digest = gnr_flash_array::margins::state_digest(scheduled.array());
     let seq_digest = gnr_flash_array::margins::state_digest(sequential.array());
@@ -241,6 +241,7 @@ fn measure_pe_scheduler() {
                 snapshot_interval: 0,
                 margin_scan: false,
             },
+            &mut (),
         )
         .expect("telemetry replay")
     });

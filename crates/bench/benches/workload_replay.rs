@@ -45,6 +45,7 @@ fn full_cycle_report(
         &mut controller,
         &WorkloadTrace::full_array_cycle(config),
         &options,
+        &mut (),
     )
     .expect("full-array cycle replays");
 
@@ -62,6 +63,7 @@ fn full_cycle_report(
         &mut controller,
         &WorkloadTrace::gc_churn(churn_ops, capacity, 0xbead),
         &options,
+        &mut (),
     )
     .expect("gc churn replays");
     (cycle, churn)
@@ -134,6 +136,7 @@ fn measure_workload_replay() {
             &mut controller,
             &WorkloadTrace::gc_churn(32, capacity, 0xbead),
             &ReplayOptions::default(),
+            &mut (),
         )
         .expect("telemetry churn replays")
     });
@@ -197,7 +200,7 @@ fn bench_workload(c: &mut Criterion) {
         let trace = WorkloadTrace::full_array_cycle(config);
         b.iter(|| {
             let mut controller = FlashController::new(config);
-            replay(&mut controller, &trace, &ReplayOptions::default()).expect("replay")
+            replay(&mut controller, &trace, &ReplayOptions::default(), &mut ()).expect("replay")
         });
     });
     group.finish();

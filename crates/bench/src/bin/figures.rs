@@ -4,7 +4,7 @@
 //! cargo run -p gnr-bench --bin figures
 //! ```
 //!
-//! Iterates the [`gnr_flash::experiments::registry`] — every paper
+//! Iterates the [`gnr_flash::experiments::registry()`] — every paper
 //! figure plus the extension studies — through the batched engine,
 //! writes each experiment's artifacts under `results/`, runs every
 //! shape check and prints the per-figure summaries that EXPERIMENTS.md

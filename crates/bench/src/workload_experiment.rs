@@ -49,7 +49,7 @@ impl Experiment for WorkloadExperiment {
         let mut check = Ok(());
         for trace in traces {
             let mut controller = FlashController::new(config);
-            let report = replay(&mut controller, &trace, &ReplayOptions::default())
+            let report = replay(&mut controller, &trace, &ReplayOptions::default(), &mut ())
                 .map_err(experiment_error)?;
             let wear = &report.snapshots.last().expect("final snapshot").wear;
             summary.push(format!(

@@ -11,7 +11,7 @@
 //!   `a ∈ [0, 1]` of a phase-change element and evolves it through
 //!   closed-form set/reset kinetics — no FN tunneling, no flow maps, the
 //!   exact-path bookkeeping (`engine.flowmap.escapes`, the
-//!   `flowmap_escape` journal event) records every pulse.
+//!   `flow_map_escape` journal event) records every pulse.
 //!
 //! [`DeviceBackend`] is the trait contract; [`CellBackend`] is the
 //! concrete closed set the array layer ships. Every memoization key in
@@ -30,9 +30,7 @@ use crate::{DeviceError, Result};
 ///
 /// `Copy` + unit-only so it can ride inside every snapshot, cache key
 /// and telemetry record without allocation.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize)]
 pub enum BackendKind {
     /// The paper's device: MLGNR channel, CNT floating gate, FN
     /// program/erase through the tunnel oxide. The default — every
@@ -163,7 +161,7 @@ pub trait DeviceBackend {
 /// The constants are chosen so the stock ISPP ladders converge: the
 /// 13→16 V program ladder reaches the +2 V verify level in two rungs
 /// and the −13 V erase rung lands under the +0.3 V erase target in one.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct PcmDevice {
     /// Full threshold window at `a = 1` (volts).
     vt_window_volts: f64,

@@ -18,7 +18,7 @@ use crate::{DeviceError, Result};
 use gnr_materials::oxide::Oxide;
 
 /// The four capacitances coupling the floating gate to its terminals.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct CapacitanceNetwork {
     /// Floating gate ↔ control gate (through the control oxide).
     cfc: Capacitance,

@@ -72,7 +72,7 @@ pub(crate) fn signed_flow_by(
 }
 
 /// Instantaneous tunneling state of the cell at one bias point.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct TunnelingState {
     /// Floating-gate potential (eq. 3).
     pub vfg: Voltage,
@@ -92,7 +92,7 @@ pub struct TunnelingState {
 /// Construct with [`FloatingGateTransistor::mlgnr_cnt_paper`] (the paper's
 /// device), [`FloatingGateTransistor::silicon_conventional`] (the
 /// baseline it is compared against) or [`FloatingGateTransistor::builder`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct FloatingGateTransistor {
     name: String,
     geometry: FgtGeometry,
@@ -442,9 +442,9 @@ impl FgtBuilder {
     ///
     /// # Errors
     ///
-    /// [`DeviceError::Material`] when any emitter work function fails to
-    /// clear its oxide's electron affinity;
-    /// [`DeviceError::InvalidParameter`] for an out-of-range GCR.
+    /// [`crate::DeviceError::Material`] when any emitter work function
+    /// fails to clear its oxide's electron affinity;
+    /// [`crate::DeviceError::InvalidParameter`] for an out-of-range GCR.
     pub fn build(self) -> Result<FloatingGateTransistor> {
         // Total capacitance: explicit override or the parallel-plate
         // estimate scaled so CFC matches the requested GCR (wrap-around

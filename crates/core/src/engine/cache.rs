@@ -21,7 +21,7 @@ use super::table::TabulatedJ;
 use crate::backend::BackendKind;
 
 /// Hit/miss/entry counters of one memoization tier.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct TierStats {
     /// Lookups answered from the cache.
     pub hits: u64,
@@ -49,7 +49,7 @@ impl TierStats {
 /// tier, the pulse flow-map tier and the P/E cycle-map tier. Benches
 /// record this in their JSON so cache efficiency shows up in the perf
 /// trajectory.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct EngineCacheStats {
     /// The [`TabulatedJ`] table cache (keyed on FN `(A, B)` bits).
     pub j_tables: TierStats,

@@ -20,7 +20,7 @@
 //! # Grid, accuracy, and why squaring converges
 //!
 //! The tables are sampled on the union of the constituent pulses'
-//! master-trajectory charge nodes (downsampled to [`MAX_GRID_NODES`])
+//! master-trajectory charge nodes (downsampled to `MAX_GRID_NODES`)
 //! — the grid the dense output is most accurate on — and interpolated
 //! with monotone cubic Hermite ([`gnr_numerics::interp::Pchip`]). A
 //! P/E cycle ends in an erase train driving every covered charge toward
@@ -90,7 +90,7 @@ const MAX_LEVELS: usize = 21;
 /// a *representative* open-loop cycle, typically recorded from one
 /// closed-loop ISPP program/erase of a fresh nominal cell so the rung
 /// count matches what the array layer actually applies).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct CycleRecipe {
     pulses: Vec<SquarePulse>,
 }
@@ -197,7 +197,7 @@ pub struct CycleMap {
 impl CycleMap {
     /// Tabulates the recipe's single-cycle response on the union of its
     /// pulses' master-trajectory charge nodes, then precomposes
-    /// [`MAX_LEVELS`] squaring levels. A recipe whose pulses tunnel
+    /// `MAX_LEVELS` squaring levels. A recipe whose pulses tunnel
     /// nowhere (or whose tables fail to sample) yields an empty map:
     /// every [`Self::iterate`] query then runs explicitly.
     #[must_use]

@@ -84,7 +84,7 @@ pub(crate) const MIN_TUNNELING_RATE_AMPS: f64 = 1.0e-32;
 /// Full transients ([`ChargeBalanceEngine::run`]) always integrate
 /// exactly — the mode only governs the final-charge fast path the array
 /// layer rides (ISPP rungs, page programs, block erases).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub enum EngineMode {
     /// Adaptive Dopri45 integration per pulse — the historical path,
     /// kept as the escape hatch for accuracy cross-checks.

@@ -17,7 +17,7 @@ use crate::{presets, Result};
 
 /// The comparison data: one Figure-5 transient per floating-gate
 /// backend, at the same bias.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct BackendTransientData {
     /// Shared programming gate voltage (V).
     pub vgs: f64,

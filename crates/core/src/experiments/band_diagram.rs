@@ -11,7 +11,7 @@ use gnr_units::{Charge, Voltage};
 use crate::device::FloatingGateTransistor;
 
 /// One region of the band diagram.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct Region {
     /// Region name (`"channel"`, `"tunnel-oxide"`, …).
     pub name: String,
@@ -20,7 +20,7 @@ pub struct Region {
 }
 
 /// The full band diagram.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct BandDiagramData {
     /// Bias at which the diagram was drawn.
     pub vgs: f64,

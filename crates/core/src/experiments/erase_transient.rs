@@ -16,7 +16,7 @@ use crate::transient::{ProgramPulseSpec, TransientSample, TransientSimulator};
 use crate::{presets, Result};
 
 /// The erase-transient data.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct EraseTransientData {
     /// Erase gate voltage (negative).
     pub vgs: f64,

@@ -15,7 +15,7 @@ use crate::{presets, Result};
 
 /// The Figure 4 data: the early-time window of the programming transient
 /// plus the onset asymmetry.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct Fig4Data {
     /// Programming gate voltage.
     pub vgs: f64,

@@ -17,7 +17,7 @@ use crate::transient::{ProgramPulseSpec, TransientSample, TransientSimulator};
 use crate::{presets, Result};
 
 /// The Figure 5 data: the full programming transient.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct Fig5Data {
     /// Programming gate voltage.
     pub vgs: f64,

@@ -1,4 +1,4 @@
-//! Figure 6 — [Program] `JFN` vs `VGS` for four GCR values.
+//! Figure 6 — \[Program\] `JFN` vs `VGS` for four GCR values.
 //!
 //! Paper caption: *"Fowler Nordheim (FN) tunneling current density (JFN)
 //! versus Control gate voltage (VGS) for four different GCR. VGS = 8-17V."*

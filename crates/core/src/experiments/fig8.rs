@@ -1,4 +1,4 @@
-//! Figure 8 — [Erase] `JFN` vs `VGS` for four GCR values.
+//! Figure 8 — \[Erase\] `JFN` vs `VGS` for four GCR values.
 //!
 //! Paper caption: *"FN tunneling current density (JFN) versus Control gate
 //! voltage (VGS) for four different GCR (%). XTO=5, VGS <0V."*

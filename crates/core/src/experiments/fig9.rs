@@ -1,4 +1,4 @@
-//! Figure 9 — [Erase] `JFN` vs `VGS` for five tunnel-oxide thicknesses.
+//! Figure 9 — \[Erase\] `JFN` vs `VGS` for five tunnel-oxide thicknesses.
 //!
 //! Paper caption: *"FN tunneling current density (JFN) versus Control gate
 //! voltage (VGS) for five different tunnel oxide thickness (XTO).

@@ -1,5 +1,5 @@
 //! Extension experiment: the FN plot of the device — §IV's "A and B can
-//! be derived from FN plot (JFN/E² vs. 1/E)" (paper ref. [9], Chiou et
+//! be derived from FN plot (JFN/E² vs. 1/E)" (paper ref. \[9\], Chiou et
 //! al. 2001) applied to our own simulated device.
 //!
 //! A straight FN plot with the right slope is the defining signature that
@@ -13,7 +13,7 @@ use crate::device::FloatingGateTransistor;
 use crate::Result;
 
 /// The FN-plot experiment output.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct FnPlotFigure {
     /// The plot points `(1/E, ln(J/E²))`.
     pub points: Vec<FnPlotPoint>,

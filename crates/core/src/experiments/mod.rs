@@ -39,7 +39,7 @@ pub use registry::{registry, Artifact, Experiment, ExperimentContext, Experiment
 pub use shape::{monotone_decreasing, monotone_increasing, series_ordered_at};
 
 /// One labelled data series (a curve of a figure).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct SweepSeries {
     /// Curve label (e.g. `"GCR=60%"`).
     pub label: String,
@@ -50,7 +50,7 @@ pub struct SweepSeries {
 }
 
 /// A complete figure: several series over a shared axis pair.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct FigureData {
     /// Figure identifier (`"fig6"`, …).
     pub id: String,

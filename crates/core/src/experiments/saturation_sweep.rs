@@ -15,7 +15,7 @@ use crate::transient::ProgramPulseSpec;
 use crate::Result;
 
 /// One point of the saturation sweep.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct SaturationPoint {
     /// Programming voltage (V).
     pub vgs: f64,
@@ -28,7 +28,7 @@ pub struct SaturationPoint {
 }
 
 /// The sweep output.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct SaturationSweep {
     /// Points in ascending VGS order.
     pub points: Vec<SaturationPoint>,

@@ -10,7 +10,7 @@ use crate::{DeviceError, Result};
 /// tunnel oxide (`XTO`) → CNT floating gate → control oxide (`XCO`) →
 /// control gate. "The thickness of the control oxide is always greater
 /// than the tunnel oxide" (§III) — enforced here.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct FgtGeometry {
     gate_length: Length,
     gate_width: Length,

@@ -18,7 +18,7 @@ use crate::geometry::FgtGeometry;
 use crate::{DeviceError, Result};
 
 /// The optimisation constraints and bounds.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct DesignSpec {
     /// Allowed VGS range (V).
     pub vgs_range: (f64, f64),
@@ -45,7 +45,7 @@ impl Default for DesignSpec {
 }
 
 /// The optimised design point.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct OptimalDesign {
     /// Programming voltage (V).
     pub vgs: f64,

@@ -7,7 +7,7 @@
 use gnr_units::{Time, Voltage};
 
 /// A single rectangular gate pulse.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct SquarePulse {
     /// Gate amplitude (negative for erase).
     pub amplitude: Voltage,
@@ -49,7 +49,7 @@ impl SquarePulse {
 /// let amps: Vec<f64> = ladder.map(|p| p.amplitude.as_volts()).collect();
 /// assert_eq!(amps, vec![13.0, 13.5, 14.0, 14.5, 15.0]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct IsppLadder {
     next: f64,
     step: f64,

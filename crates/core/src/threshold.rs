@@ -18,7 +18,7 @@ use gnr_units::{Charge, Current, Voltage};
 use crate::device::FloatingGateTransistor;
 
 /// The logic state of a cell, paper §I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum LogicState {
     /// Electrons accumulated on the FG → high threshold → logic '0'.
     Programmed0,
@@ -44,7 +44,7 @@ pub fn classify(shift: Voltage, decision_level: Voltage) -> LogicState {
 }
 
 /// The programmed/erased threshold pair of one cell.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct MemoryWindow {
     /// Threshold shift in the programmed state.
     pub programmed_shift: Voltage,
@@ -79,7 +79,7 @@ impl MemoryWindow {
 /// shifted above the read voltage) is simply *off*. The hole branch of
 /// the ambipolar graphene FET is suppressed by the n-type source/drain
 /// doping assumed for the cell.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct ReadModel {
     /// Charge-neutrality (Dirac) point of the fresh channel.
     pub dirac_voltage: Voltage,

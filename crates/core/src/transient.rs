@@ -31,7 +31,7 @@ use crate::pulse::SquarePulse;
 use crate::Result;
 
 /// Specification of one transient run.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct ProgramPulseSpec {
     /// Control-gate voltage (negative for erase).
     pub vgs: Voltage,
@@ -94,7 +94,7 @@ impl ProgramPulseSpec {
 }
 
 /// One recorded point of a transient trace.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct TransientSample {
     /// Time since pulse start (s).
     pub t: f64,
@@ -109,7 +109,7 @@ pub struct TransientSample {
 }
 
 /// The result of one transient run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct TransientResult {
     spec: ProgramPulseSpec,
     samples: Vec<TransientSample>,

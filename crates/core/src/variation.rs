@@ -16,7 +16,7 @@ use crate::device::{FgtBuilder, FloatingGateTransistor};
 use crate::{DeviceError, Result};
 
 /// Specification of the variation experiment.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct VariationSpec {
     /// Number of Monte-Carlo samples.
     pub samples: usize,
@@ -43,7 +43,7 @@ impl Default for VariationSpec {
 }
 
 /// Result of the variation experiment.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct VariationReport {
     /// Statistics of `log₁₀(J_in [A/m²])` at the programming bias.
     pub log10_j_in: Summary,

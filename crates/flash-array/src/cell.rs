@@ -16,7 +16,7 @@ use crate::Result;
 pub const DEFAULT_PULSE_WIDTH_S: f64 = 1.0e-4;
 
 /// Lifetime counters of one cell.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize)]
 pub struct CellStats {
     /// Completed program operations.
     pub program_ops: u64,
@@ -33,7 +33,7 @@ pub struct CellStats {
 /// coulombs for the FN backends, the (dimensionless) amorphous fraction
 /// for [`BackendKind::PcmResistive`] — exactly the contract of
 /// [`gnr_flash::backend::DeviceBackend`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct FlashCell {
     device: FloatingGateTransistor,
     charge: Charge,

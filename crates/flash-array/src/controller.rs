@@ -61,7 +61,7 @@ use crate::pe::scheduler::{CommandOutcome, PeCommand, PlaneScheduler};
 use crate::{ArrayError, Result};
 
 /// Physical address of a page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub struct PageAddress {
     /// Block index.
     pub block: usize,
@@ -70,7 +70,7 @@ pub struct PageAddress {
 }
 
 /// Wear statistics across blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub struct WearStats {
     /// Lowest per-block erase count.
     pub min_erases: u64,
@@ -155,76 +155,11 @@ pub struct MetaCheckpoint {
     pub program_fails: u64,
 }
 
-impl MetaCheckpoint {
-    /// Decodes a checkpoint from an already-parsed [`serde::Value`]
-    /// tree.
-    ///
-    /// # Errors
-    ///
-    /// [`ArrayError::Snapshot`] on missing/ill-typed fields.
-    pub fn from_value(value: &serde::Value) -> Result<Self> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| ArrayError::Snapshot(format!("missing field `{name}`")))
-        };
-        let counter = |name: &str| -> Result<u64> {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| ArrayError::Snapshot(format!("bad counter `{name}`")))
-        };
-        let flag = |name: &str| -> Result<bool> {
-            field(name)?
-                .as_bool()
-                .ok_or_else(|| ArrayError::Snapshot(format!("bad flag `{name}`")))
-        };
-        let i64_column = |name: &str| -> Result<Vec<i64>> {
-            field(name)?
-                .as_array()
-                .ok_or_else(|| ArrayError::Snapshot(format!("`{name}` must be an array")))?
-                .iter()
-                .map(|v| {
-                    v.as_f64()
-                        .filter(|f| f.fract() == 0.0 && f.abs() < 9.0e15)
-                        .map(|f| f as i64)
-                        .ok_or_else(|| ArrayError::Snapshot(format!("non-integer in `{name}`")))
-                })
-                .collect()
-        };
-        let bool_column = |name: &str| -> Result<Vec<bool>> {
-            field(name)?
-                .as_array()
-                .ok_or_else(|| ArrayError::Snapshot(format!("`{name}` must be an array")))?
-                .iter()
-                .map(|v| {
-                    v.as_bool()
-                        .ok_or_else(|| ArrayError::Snapshot(format!("non-bool in `{name}`")))
-                })
-                .collect()
-        };
-        Ok(Self {
-            map: i64_column("map")?,
-            state: i64_column("state")?,
-            next_slot: counter("next_slot")?,
-            next_lpn: counter("next_lpn")?,
-            reclaim_erases: counter("reclaim_erases")?,
-            gc_erases: counter("gc_erases")?,
-            gc_relocations: counter("gc_relocations")?,
-            planes: counter("planes")?,
-            bad_blocks: bool_column("bad_blocks")?,
-            spare_blocks: counter("spare_blocks")?,
-            fault_tolerant: flag("fault_tolerant")?,
-            read_only: flag("read_only")?,
-            program_fails: counter("program_fails")?,
-        })
-    }
-}
-
 /// One journaled metadata mutation. Every delta carries **absolute**
 /// values, so replay is idempotent and order within the log is the only
 /// ordering that matters — the property that makes recovery replay
 /// byte-exact.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum MetaDelta {
     /// `map[lpn]` now points at flat `slot` (`-1` = unmapped).
     MapSet {
@@ -273,109 +208,6 @@ pub enum MetaDelta {
     MetaReset,
 }
 
-impl serde::Serialize for MetaDelta {
-    #[allow(clippy::cast_precision_loss)]
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        let obj = |kind: &str, fields: Vec<(&str, Value)>| {
-            let mut pairs = vec![("kind".to_string(), Value::String(kind.to_string()))];
-            pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-            Value::Object(pairs)
-        };
-        let num = |v: u64| Value::Number(v as f64);
-        let int = |v: i64| Value::Number(v as f64);
-        match *self {
-            Self::MapSet { lpn, slot } => {
-                obj("map_set", vec![("lpn", num(lpn)), ("slot", int(slot))])
-            }
-            Self::StateSet { slot, code } => {
-                obj("state_set", vec![("slot", num(slot)), ("code", int(code))])
-            }
-            Self::NextSlot { value } => obj("next_slot", vec![("value", num(value))]),
-            Self::NextLpn { value } => obj("next_lpn", vec![("value", num(value))]),
-            Self::Counters {
-                reclaim_erases,
-                gc_erases,
-                gc_relocations,
-                program_fails,
-            } => obj(
-                "counters",
-                vec![
-                    ("reclaim_erases", num(reclaim_erases)),
-                    ("gc_erases", num(gc_erases)),
-                    ("gc_relocations", num(gc_relocations)),
-                    ("program_fails", num(program_fails)),
-                ],
-            ),
-            Self::BlockRetired { block } => obj("block_retired", vec![("block", num(block))]),
-            Self::ReadOnly => obj("read_only", vec![]),
-            Self::MetaReset => obj("meta_reset", vec![]),
-        }
-    }
-}
-
-impl serde::Deserialize for MetaDelta {}
-
-impl MetaDelta {
-    /// Decodes a delta from an already-parsed [`serde::Value`] tree.
-    ///
-    /// # Errors
-    ///
-    /// [`ArrayError::Snapshot`] on unknown kinds or ill-typed fields.
-    pub fn from_value(value: &serde::Value) -> Result<Self> {
-        let kind = value
-            .get("kind")
-            .and_then(serde::Value::as_str)
-            .ok_or_else(|| ArrayError::Snapshot("delta missing `kind`".into()))?;
-        let num = |name: &str| -> Result<u64> {
-            value
-                .get(name)
-                .and_then(serde::Value::as_u64)
-                .ok_or_else(|| ArrayError::Snapshot(format!("delta missing counter `{name}`")))
-        };
-        let int = |name: &str| -> Result<i64> {
-            value
-                .get(name)
-                .and_then(serde::Value::as_f64)
-                .filter(|f| f.fract() == 0.0 && f.abs() < 9.0e15)
-                .map(|f| f as i64)
-                .ok_or_else(|| ArrayError::Snapshot(format!("delta missing integer `{name}`")))
-        };
-        Ok(match kind {
-            "map_set" => Self::MapSet {
-                lpn: num("lpn")?,
-                slot: int("slot")?,
-            },
-            "state_set" => Self::StateSet {
-                slot: num("slot")?,
-                code: int("code")?,
-            },
-            "next_slot" => Self::NextSlot {
-                value: num("value")?,
-            },
-            "next_lpn" => Self::NextLpn {
-                value: num("value")?,
-            },
-            "counters" => Self::Counters {
-                reclaim_erases: num("reclaim_erases")?,
-                gc_erases: num("gc_erases")?,
-                gc_relocations: num("gc_relocations")?,
-                program_fails: num("program_fails")?,
-            },
-            "block_retired" => Self::BlockRetired {
-                block: num("block")?,
-            },
-            "read_only" => Self::ReadOnly,
-            "meta_reset" => Self::MetaReset,
-            other => {
-                return Err(ArrayError::Snapshot(format!(
-                    "unknown delta kind `{other}`"
-                )))
-            }
-        })
-    }
-}
-
 /// Serializable full state of a [`FlashController`]: the wrapped
 /// array's snapshot plus the FTL metadata (see [`MetaCheckpoint`]).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -384,25 +216,6 @@ pub struct ControllerSnapshot {
     pub array: ArraySnapshot,
     /// The controller metadata.
     pub meta: MetaCheckpoint,
-}
-
-impl ControllerSnapshot {
-    /// Decodes a snapshot from an already-parsed [`serde::Value`] tree.
-    ///
-    /// # Errors
-    ///
-    /// [`ArrayError::Snapshot`] on missing/ill-typed fields.
-    pub fn from_value(value: &serde::Value) -> Result<Self> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| ArrayError::Snapshot(format!("missing field `{name}`")))
-        };
-        Ok(Self {
-            array: ArraySnapshot::from_value(field("array")?)?,
-            meta: MetaCheckpoint::from_value(field("meta")?)?,
-        })
-    }
 }
 
 /// Everything that survives a power cut: the array medium (cells are
@@ -420,36 +233,6 @@ pub struct CrashImage {
     /// The checkpoint cadence (ops between checkpoints), so recovery
     /// re-arms the journal identically.
     pub interval: u64,
-}
-
-impl CrashImage {
-    /// Decodes a crash image from an already-parsed [`serde::Value`]
-    /// tree.
-    ///
-    /// # Errors
-    ///
-    /// [`ArrayError::Snapshot`] on missing/ill-typed fields.
-    pub fn from_value(value: &serde::Value) -> Result<Self> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| ArrayError::Snapshot(format!("missing field `{name}`")))
-        };
-        let deltas = field("deltas")?
-            .as_array()
-            .ok_or_else(|| ArrayError::Snapshot("`deltas` must be an array".into()))?
-            .iter()
-            .map(MetaDelta::from_value)
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self {
-            array: ArraySnapshot::from_value(field("array")?)?,
-            checkpoint: MetaCheckpoint::from_value(field("checkpoint")?)?,
-            deltas,
-            interval: field("interval")?
-                .as_u64()
-                .ok_or_else(|| ArrayError::Snapshot("bad counter `interval`".into()))?,
-        })
-    }
 }
 
 /// The crash-consistency journal: the last checkpoint, the deltas since
@@ -1966,22 +1749,7 @@ impl FlashController {
                 // and the buffered survivors' originals — are intact.
                 // Retire the victim and place the survivors on healthy
                 // blocks instead.
-                self.retire_block(victim)?;
-                for (lpn, bits) in survivors {
-                    let addr = self.place_bits(&bits)?;
-                    self.commit_live(lpn, addr);
-                    self.gc_relocations += 1;
-                    self.journal_counters();
-                    gnr_telemetry::counter_add!("ftl.gc.relocations", 1);
-                    gnr_telemetry::journal::record(
-                        gnr_telemetry::journal::EventKind::GcRelocation {
-                            lpn: lpn as u64,
-                            block: addr.block as u64,
-                            page: addr.page as u64,
-                        },
-                    );
-                }
-                return Ok(());
+                return self.retire_and_relocate(victim, &survivors);
             }
             // On erase failure the buffered survivors are the only
             // copies and there is nowhere safe to put them: they
@@ -2052,25 +1820,34 @@ impl FlashController {
                     // survivors back: it is done. Retire it (relocating
                     // any survivors already placed back in) and place
                     // the rest on healthy blocks.
-                    self.retire_block(victim)?;
-                    for (lpn, bits) in &survivors[idx..] {
-                        let addr = self.place_bits(bits)?;
-                        self.commit_live(*lpn, addr);
-                        self.gc_relocations += 1;
-                        self.journal_counters();
-                        gnr_telemetry::counter_add!("ftl.gc.relocations", 1);
-                        gnr_telemetry::journal::record(
-                            gnr_telemetry::journal::EventKind::GcRelocation {
-                                lpn: *lpn as u64,
-                                block: addr.block as u64,
-                                page: addr.page as u64,
-                            },
-                        );
-                    }
-                    return Ok(());
+                    return self.retire_and_relocate(victim, &survivors[idx..]);
                 }
                 return Err(last_error.expect("loop only exits dry after an error"));
             }
+        }
+        Ok(())
+    }
+
+    /// GC's fault-tolerant fallback: retires `victim` and places the
+    /// buffered `survivors` on healthy blocks, counting each placement
+    /// as a relocation.
+    fn retire_and_relocate(
+        &mut self,
+        victim: usize,
+        survivors: &[(usize, Vec<bool>)],
+    ) -> Result<()> {
+        self.retire_block(victim)?;
+        for (lpn, bits) in survivors {
+            let addr = self.place_bits(bits)?;
+            self.commit_live(*lpn, addr);
+            self.gc_relocations += 1;
+            self.journal_counters();
+            gnr_telemetry::counter_add!("ftl.gc.relocations", 1);
+            gnr_telemetry::journal::record(gnr_telemetry::journal::EventKind::GcRelocation {
+                lpn: *lpn as u64,
+                block: addr.block as u64,
+                page: addr.page as u64,
+            });
         }
         Ok(())
     }
@@ -2473,7 +2250,7 @@ mod tests {
         // The crash image itself round-trips through JSON.
         let image = c.crash_image().unwrap();
         let json = serde_json::to_string(&image).unwrap();
-        let decoded = CrashImage::from_value(&serde_json::from_str(&json).unwrap()).unwrap();
+        let decoded: CrashImage = serde_json::from_str(&json).unwrap();
         let recovered =
             FlashController::recover(FloatingGateTransistor::mlgnr_cnt_paper(), &decoded).unwrap();
         assert_eq!(recovered.state_digest(), c.state_digest());

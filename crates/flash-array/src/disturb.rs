@@ -28,7 +28,7 @@ use gnr_units::{Charge, Time, Voltage};
 use crate::cell::FlashCell;
 
 /// Standard NAND bias levels for disturb accounting.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct DisturbBias {
     /// Pass voltage applied to unselected wordlines during program.
     pub v_pass_program: Voltage,

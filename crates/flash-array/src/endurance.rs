@@ -3,7 +3,7 @@
 //! The paper's conclusion: "higher tunneling current will severely damage
 //! the oxide's reliability. Therefore, an optimization among these
 //! crucial parameters is recommended." The wear mechanism (after Olivio
-//! et al., the paper's ref. [2]) is charge-to-breakdown: every coulomb
+//! et al., the paper's ref. \[2\]) is charge-to-breakdown: every coulomb
 //! driven through the tunnel oxide generates interface traps. Trapped
 //! electrons raise the erased threshold faster than the programmed one,
 //! closing the memory window; enough cumulative fluence breaks the oxide
@@ -21,7 +21,7 @@ use crate::population::CellPopulation;
 use crate::{ArrayError, Result};
 
 /// Oxide-wear parameters.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct EnduranceModel {
     /// Trapped electrons per √(injected electrons) (empirical √ law).
     pub trap_sqrt_coefficient: f64,
@@ -49,7 +49,7 @@ impl Default for EnduranceModel {
 }
 
 /// One endurance checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct EndurancePoint {
     /// Cycle number.
     pub cycle: u64,
@@ -62,7 +62,7 @@ pub struct EndurancePoint {
 }
 
 /// The endurance simulation result.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct EnduranceReport {
     /// Log-spaced checkpoints.
     pub points: Vec<EndurancePoint>,
@@ -147,7 +147,7 @@ impl EnduranceModel {
 /// Array-level wear view built from a population's injected-charge
 /// column — the struct-of-arrays path: no per-cell transients, just the
 /// analytic trap model applied to the recorded fluence of every cell.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct PopulationWearReport {
     /// Injected-charge fluence across cells (C).
     pub injected: Summary,

@@ -20,7 +20,7 @@ use crate::column::{GroupState, PulseColumns};
 use crate::{ArrayError, Result};
 
 /// Result of one ISPP operation.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct IsppReport {
     /// Pulses applied (including the passing one); `0` when the cell
     /// already verified before the first rung.
@@ -37,7 +37,7 @@ pub struct IsppReport {
 }
 
 /// ISPP programmer: a ladder plus a verify target.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct IsppProgrammer {
     ladder: IsppLadder,
     target: Voltage,
@@ -251,7 +251,7 @@ impl IsppProgrammer {
 }
 
 /// ISPP eraser: a negative ladder plus a verify ceiling.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct IsppEraser {
     ladder: IsppLadder,
     target: Voltage,
@@ -369,7 +369,7 @@ impl IsppEraser {
 /// Freezes one program→erase verify outcome into a fixed pulse train:
 /// runs `programmer` then `eraser` on a fresh scratch cell of `cell`'s
 /// device and records exactly the rungs each ladder applied. The result
-/// is the [`CycleRecipe`] an epoch-jumping
+/// is the [`gnr_flash::engine::CycleRecipe`] an epoch-jumping
 /// [`crate::population::CellPopulation::run_epoch`] composes — a P/E
 /// cycle with the verify decisions *pinned* to the fresh-cell
 /// trajectory, which is the steady-state rung count because the recipe

@@ -13,7 +13,7 @@ use crate::nand::NandArray;
 use crate::Result;
 
 /// Threshold statistics of one logic population in the array.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct PopulationStats {
     /// Number of cells in the population.
     pub count: usize,
@@ -22,7 +22,7 @@ pub struct PopulationStats {
 }
 
 /// The array margin report.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct MarginReport {
     /// Programmed ('0') population, when non-empty.
     pub programmed: Option<PopulationStats>,

@@ -24,7 +24,7 @@ use crate::population::CellPopulation;
 use crate::{ArrayError, Result};
 
 /// The four MLC states in threshold order (Gray-coded bit pairs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum MlcState {
     /// Lowest threshold — fully erased, bits `11`.
     Erased11,
@@ -68,7 +68,7 @@ impl MlcState {
 
 /// The MLC level placement: verify targets for the three programmed
 /// states and the three read references between states.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct MlcLevels {
     /// ISPP verify targets for `Level10`, `Level00`, `Level01` (V).
     pub verify: [f64; 3],
@@ -195,7 +195,7 @@ pub fn program_cell(
 }
 
 /// A two-bit cell.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct MlcCell {
     cell: FlashCell,
     levels: MlcLevels,

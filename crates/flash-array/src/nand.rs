@@ -95,58 +95,6 @@ pub struct ArraySnapshot {
     pub erase_count: Vec<u64>,
 }
 
-impl ArraySnapshot {
-    /// Decodes a snapshot from an already-parsed [`serde::Value`] tree
-    /// (what this shim's serializer writes).
-    ///
-    /// # Errors
-    ///
-    /// [`ArrayError::Snapshot`] on missing/ill-typed fields.
-    pub fn from_value(value: &serde::Value) -> Result<Self> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| ArrayError::Snapshot(format!("missing field `{name}`")))
-        };
-        let dim = |name: &str| -> Result<usize> {
-            field("config")?
-                .get(name)
-                .and_then(serde::Value::as_u64)
-                .and_then(|v| usize::try_from(v).ok())
-                .ok_or_else(|| ArrayError::Snapshot(format!("bad config field `{name}`")))
-        };
-        let config = NandConfig {
-            blocks: dim("blocks")?,
-            pages_per_block: dim("pages_per_block")?,
-            page_width: dim("page_width")?,
-        };
-        let page_erased = field("page_erased")?
-            .as_array()
-            .ok_or_else(|| ArrayError::Snapshot("`page_erased` must be an array".into()))?
-            .iter()
-            .map(|v| match v {
-                serde::Value::Bool(b) => Ok(*b),
-                _ => Err(ArrayError::Snapshot("non-bool in `page_erased`".into())),
-            })
-            .collect::<Result<Vec<bool>>>()?;
-        let erase_count = field("erase_count")?
-            .as_array()
-            .ok_or_else(|| ArrayError::Snapshot("`erase_count` must be an array".into()))?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .ok_or_else(|| ArrayError::Snapshot("non-integer in `erase_count`".into()))
-            })
-            .collect::<Result<Vec<u64>>>()?;
-        Ok(Self {
-            config,
-            population: PopulationSnapshot::from_value(field("population")?)?,
-            page_erased,
-            erase_count,
-        })
-    }
-}
-
 /// A NAND array of MLGNR-CNT cells over struct-of-arrays state.
 #[derive(Debug, Clone)]
 pub struct NandArray {

@@ -13,7 +13,7 @@ use crate::cell::FlashCell;
 use crate::population::CellPopulation;
 
 /// CHE bias conditions for one programming pulse.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct CheBias {
     /// Drain current during the pulse (paper: 0.3–1 mA).
     pub drain_current: Current,
@@ -37,7 +37,7 @@ impl Default for CheBias {
 }
 
 /// A NOR cell: the flash cell plus a CHE injection model.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct NorCell {
     cell: FlashCell,
     che: CheModel,

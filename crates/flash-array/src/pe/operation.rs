@@ -33,7 +33,7 @@ use crate::{ArrayError, Result};
 const GAIN_DECAY: f64 = 0.45;
 
 /// Adaptive incremental-step-pulse programming.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct AdaptiveIspp {
     /// First rung amplitude (V).
     pub start: Voltage,
@@ -250,7 +250,7 @@ impl AdaptiveIspp {
 
 /// Block-granularity erase-verify: collective pulses until every cell
 /// of the block verifies erased.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct EraseVerify {
     /// First erase pulse amplitude (negative, V).
     pub start: Voltage,
@@ -285,7 +285,7 @@ impl EraseVerify {
 
 /// Post-erase soft-program: low-amplitude pulses that lift the deeply
 /// erased tail back up to a floor, compacting the erased distribution.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct SoftProgram {
     /// Soft pulse amplitude (low — well under the programming point, V).
     pub amplitude: Voltage,
@@ -318,7 +318,8 @@ impl SoftProgram {
     ///
     /// # Errors
     ///
-    /// Same contract as [`Self::compact_with`].
+    /// [`ArrayError::VerifyFailed`] when the pulse bound is exhausted
+    /// below the floor; device errors propagate.
     pub fn compact(&self, cell: &mut FlashCell) -> Result<usize> {
         let engine = ChargeBalanceEngine::new(cell.device());
         self.compact_with(cell, &engine)
@@ -401,7 +402,7 @@ impl SoftProgram {
 }
 
 /// What one verified block erase did.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct BlockEraseReport {
     /// Collective erase pulses applied to the block.
     pub erase_pulses: usize,

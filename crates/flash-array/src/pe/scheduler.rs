@@ -110,7 +110,7 @@ impl PlaneExecution {
 }
 
 /// The multi-plane scheduler. Cheap to copy; holds only the plane count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub struct PlaneScheduler {
     planes: usize,
 }

@@ -42,7 +42,7 @@
 //! ([`CellPopulation::apply_pulse_cells`]), page program and block erase
 //! (both ISPP ladders), the default erase, erase-verify and soft-program
 //! (via [`crate::pe`]) — runs **columnar**: the groups become
-//! [`crate::column::GroupState`] rows, and every rung's pulses are
+//! `GroupState` rows, and every rung's pulses are
 //! bucketed by `(variant, pulse bias)` and dispatched as one sorted
 //! column through [`ChargeBalanceEngine::pulse_final_charges`]. That
 //! turns per-group scalar flow-map queries (each a cache probe, a
@@ -88,7 +88,7 @@ use crate::{ArrayError, Result};
 /// trajectory cache — so the marginal cost is one device clone per
 /// group per operation (and ~one integration per *pulse bias*, not per
 /// group) — never per cell.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub(crate) struct DeviceVariant {
     /// Fractional tunnel-oxide thickness delta this variant was built at.
     xto_delta: f64,
@@ -101,7 +101,7 @@ pub(crate) struct DeviceVariant {
 }
 
 /// Telemetry of one [`CellPopulation::run_epoch`] jump.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct EpochReport {
     /// Cells the epoch covered.
     pub cells: usize,
@@ -117,7 +117,7 @@ pub struct EpochReport {
 }
 
 /// Gaussian per-cell process variation for a population.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct PopulationVariation {
     /// Relative 1σ of the tunnel-oxide thickness (e.g. 0.04 = 4 %).
     pub xto_sigma_fraction: f64,
@@ -159,64 +159,9 @@ pub struct PopulationSnapshot {
     pub barrier_delta_ev: Vec<f64>,
 }
 
-impl PopulationSnapshot {
-    /// Decodes a snapshot from the JSON this shim's serializer writes.
-    ///
-    /// # Errors
-    ///
-    /// [`ArrayError::Snapshot`] on syntax errors or missing/ill-typed
-    /// columns.
-    pub fn from_json(text: &str) -> Result<Self> {
-        let value = serde_json::from_str(text).map_err(|e| ArrayError::Snapshot(e.to_string()))?;
-        Self::from_value(&value)
-    }
-
-    /// Decodes a snapshot from an already-parsed [`serde::Value`] tree
-    /// (the nested-checkpoint path: array and campaign snapshots embed
-    /// population snapshots as sub-objects).
-    ///
-    /// # Errors
-    ///
-    /// [`ArrayError::Snapshot`] on missing/ill-typed columns.
-    pub fn from_value(value: &serde::Value) -> Result<Self> {
-        let f64_column = |name: &str| -> Result<Vec<f64>> {
-            value
-                .get(name)
-                .and_then(serde::Value::as_array)
-                .ok_or_else(|| ArrayError::Snapshot(format!("missing column `{name}`")))?
-                .iter()
-                .map(|v| {
-                    v.as_f64()
-                        .ok_or_else(|| ArrayError::Snapshot(format!("non-number in `{name}`")))
-                })
-                .collect()
-        };
-        let u64_column = |name: &str| -> Result<Vec<u64>> {
-            value
-                .get(name)
-                .and_then(serde::Value::as_array)
-                .ok_or_else(|| ArrayError::Snapshot(format!("missing column `{name}`")))?
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .ok_or_else(|| ArrayError::Snapshot(format!("non-integer in `{name}`")))
-                })
-                .collect()
-        };
-        Ok(Self {
-            charge: f64_column("charge")?,
-            injected_charge: f64_column("injected_charge")?,
-            program_ops: u64_column("program_ops")?,
-            erase_ops: u64_column("erase_ops")?,
-            xto_delta: f64_column("xto_delta")?,
-            barrier_delta_ev: f64_column("barrier_delta_ev")?,
-        })
-    }
-}
-
 /// A struct-of-arrays population of flash cells sharing one device
 /// blueprint. See the module docs for the memory and determinism model.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct CellPopulation {
     blueprint: FloatingGateTransistor,
     read_model: ReadModel,
@@ -1693,7 +1638,7 @@ mod tests {
         .unwrap();
         pop.set_charge(3, Charge::from_electrons(-120.0)).unwrap();
         let json = serde_json::to_string(&pop.snapshot()).unwrap();
-        let decoded = PopulationSnapshot::from_json(&json).unwrap();
+        let decoded: PopulationSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(decoded, pop.snapshot());
         let rebuilt =
             CellPopulation::restore(FloatingGateTransistor::mlgnr_cnt_paper(), decoded).unwrap();

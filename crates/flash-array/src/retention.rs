@@ -18,7 +18,7 @@ use gnr_flash::device::FloatingGateTransistor;
 use crate::population::CellPopulation;
 
 /// Retention-model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct RetentionModel {
     /// Activation energy of the (trap-assisted) leakage, eV.
     pub activation_energy_ev: f64,
@@ -36,7 +36,7 @@ impl Default for RetentionModel {
 }
 
 /// One point of a retention trace.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct RetentionPoint {
     /// Elapsed time (s).
     pub t: f64,
@@ -47,7 +47,7 @@ pub struct RetentionPoint {
 }
 
 /// Retention verdict for a ten-year bake.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct RetentionReport {
     /// The trace, log-spaced in time.
     pub trace: Vec<RetentionPoint>,
@@ -175,7 +175,7 @@ impl RetentionModel {
 }
 
 /// Ten-year retention verdict across a whole population.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct PopulationRetentionReport {
     /// Cells evaluated.
     pub cells: usize,

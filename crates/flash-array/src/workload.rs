@@ -24,7 +24,7 @@ use crate::nand::NandConfig;
 use crate::{ArrayError, Result};
 
 /// Procedural page contents (`false` = programmed '0').
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum PagePattern {
     /// Every bit programmed.
     AllProgrammed,
@@ -59,7 +59,7 @@ impl PagePattern {
 }
 
 /// One operation of a workload trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum WorkloadOp {
     /// Write a page: to `lpn`, or to the controller's rotating logical
     /// cursor when `None`.
@@ -83,7 +83,7 @@ pub enum WorkloadOp {
 }
 
 /// A named, replayable sequence of operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct WorkloadTrace {
     /// Trace name (recorded in reports).
     pub name: String,
@@ -232,29 +232,6 @@ impl WorkloadTrace {
             ops,
         }
     }
-
-    /// Decodes a trace from its JSON serialization.
-    ///
-    /// # Errors
-    ///
-    /// [`ArrayError::Snapshot`] on syntax or schema errors.
-    pub fn from_json(text: &str) -> Result<Self> {
-        let value = serde_json::from_str(text).map_err(|e| ArrayError::Snapshot(e.to_string()))?;
-        let bad = |m: &str| ArrayError::Snapshot(m.to_string());
-        let name = value
-            .get("name")
-            .and_then(serde::Value::as_str)
-            .ok_or_else(|| bad("missing trace name"))?
-            .to_string();
-        let ops = value
-            .get("ops")
-            .and_then(serde::Value::as_array)
-            .ok_or_else(|| bad("missing ops array"))?
-            .iter()
-            .map(decode_op)
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self { name, ops })
-    }
 }
 
 /// A random-access stream of workload operations — the seam the
@@ -367,131 +344,6 @@ impl TraceSource for GcChurnSource {
     }
 }
 
-fn decode_pattern(value: &serde::Value) -> Result<PagePattern> {
-    let bad = |m: &str| ArrayError::Snapshot(m.to_string());
-    let kind = value
-        .get("kind")
-        .and_then(serde::Value::as_str)
-        .ok_or_else(|| bad("pattern missing kind"))?;
-    Ok(match kind {
-        "all_programmed" => PagePattern::AllProgrammed,
-        "all_erased" => PagePattern::AllErased,
-        "checkerboard" => PagePattern::Checkerboard {
-            phase: value
-                .get("phase")
-                .and_then(serde::Value::as_bool)
-                .ok_or_else(|| bad("checkerboard missing phase"))?,
-        },
-        // The seed travels as a decimal string: the shim's JSON numbers
-        // are f64, which would silently round u64 seeds above 2^53.
-        "seeded" => PagePattern::Seeded {
-            seed: value
-                .get("seed")
-                .and_then(serde::Value::as_str)
-                .and_then(|s| s.parse::<u64>().ok())
-                .ok_or_else(|| bad("seeded pattern missing or invalid seed"))?,
-        },
-        other => return Err(bad(&format!("unknown pattern kind `{other}`"))),
-    })
-}
-
-fn decode_op(value: &serde::Value) -> Result<WorkloadOp> {
-    let bad = |m: &str| ArrayError::Snapshot(m.to_string());
-    let op = value
-        .get("op")
-        .and_then(serde::Value::as_str)
-        .ok_or_else(|| bad("op missing tag"))?;
-    Ok(match op {
-        "write" => WorkloadOp::Write {
-            lpn: match value.get("lpn") {
-                None | Some(serde::Value::Null) => None,
-                Some(v) => Some(
-                    v.as_u64()
-                        .ok_or_else(|| bad("write lpn must be an integer"))?
-                        as usize,
-                ),
-            },
-            pattern: decode_pattern(
-                value
-                    .get("pattern")
-                    .ok_or_else(|| bad("write missing pattern"))?,
-            )?,
-        },
-        "read" => WorkloadOp::Read {
-            lpn: value
-                .get("lpn")
-                .and_then(serde::Value::as_u64)
-                .ok_or_else(|| bad("read missing lpn"))? as usize,
-        },
-        "erase_block" => WorkloadOp::EraseBlock {
-            block: value
-                .get("block")
-                .and_then(serde::Value::as_u64)
-                .ok_or_else(|| bad("erase missing block"))? as usize,
-        },
-        other => return Err(bad(&format!("unknown op `{other}`"))),
-    })
-}
-
-impl serde::Serialize for PagePattern {
-    fn to_value(&self) -> serde::Value {
-        let field = |k: &str, v: serde::Value| (k.to_string(), v);
-        serde::Value::Object(match *self {
-            Self::AllProgrammed => {
-                vec![field("kind", serde::Value::String("all_programmed".into()))]
-            }
-            Self::AllErased => vec![field("kind", serde::Value::String("all_erased".into()))],
-            Self::Checkerboard { phase } => vec![
-                field("kind", serde::Value::String("checkerboard".into())),
-                field("phase", serde::Value::Bool(phase)),
-            ],
-            // As a string: JSON numbers here are f64 and would round
-            // seeds above 2^53.
-            Self::Seeded { seed } => vec![
-                field("kind", serde::Value::String("seeded".into())),
-                field("seed", serde::Value::String(seed.to_string())),
-            ],
-        })
-    }
-}
-impl serde::Deserialize for PagePattern {}
-
-impl serde::Serialize for WorkloadOp {
-    fn to_value(&self) -> serde::Value {
-        let field = |k: &str, v: serde::Value| (k.to_string(), v);
-        #[allow(clippy::cast_precision_loss)]
-        serde::Value::Object(match self {
-            Self::Write { lpn, pattern } => vec![
-                field("op", serde::Value::String("write".into())),
-                field(
-                    "lpn",
-                    lpn.map_or(serde::Value::Null, |l| serde::Value::Number(l as f64)),
-                ),
-                field("pattern", serde::Serialize::to_value(pattern)),
-            ],
-            Self::Read { lpn } => vec![
-                field("op", serde::Value::String("read".into())),
-                field("lpn", serde::Value::Number(*lpn as f64)),
-            ],
-            Self::EraseBlock { block } => vec![
-                field("op", serde::Value::String("erase_block".into())),
-                field("block", serde::Value::Number(*block as f64)),
-            ],
-        })
-    }
-}
-impl serde::Deserialize for WorkloadOp {}
-
-impl serde::Serialize for WorkloadTrace {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("name".to_string(), serde::Value::String(self.name.clone())),
-            ("ops".to_string(), serde::Serialize::to_value(&self.ops)),
-        ])
-    }
-}
-impl serde::Deserialize for WorkloadTrace {}
-
 /// Replayer knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplayOptions {
@@ -514,7 +366,7 @@ impl Default for ReplayOptions {
 
 /// Array health at one point of a replay: wear, occupancy and (when
 /// enabled) the margin/disturb picture of the whole population.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct WorkloadSnapshot {
     /// Ops completed when the snapshot was taken.
     pub op_index: usize,
@@ -531,7 +383,7 @@ pub struct WorkloadSnapshot {
 }
 
 /// What a replay did and what it cost.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct WorkloadReport {
     /// Trace name.
     pub trace: String,
@@ -591,7 +443,7 @@ pub trait ReplayObserver {
     fn observe(&mut self, controller: &FlashController, op_index: usize) -> Result<()>;
 }
 
-/// The do-nothing observer behind plain [`replay`].
+/// The do-nothing observer, for a [`replay`] nobody watches.
 impl ReplayObserver for () {
     fn observe(&mut self, _controller: &FlashController, _op_index: usize) -> Result<()> {
         Ok(())
@@ -668,37 +520,6 @@ fn intern_metric_catalogue() {
     gnr_telemetry::counter_add!("ftl.power_losses", 0);
     gnr_telemetry::counter_add!("ftl.recoveries", 0);
     gnr_telemetry::counter_add!("ftl.read_reclaims", 0);
-}
-
-/// Replays a trace against a controller, recording per-op latency and
-/// periodic health snapshots.
-///
-/// # Errors
-///
-/// Propagates write/erase failures (verify failures, capacity
-/// exhaustion); read misses are counted, not raised.
-pub fn replay(
-    controller: &mut FlashController,
-    trace: &WorkloadTrace,
-    options: &ReplayOptions,
-) -> Result<WorkloadReport> {
-    replay_observed(controller, trace, options, &mut ())
-}
-
-/// [`replay`] with an observer called at every snapshot point, so
-/// external trackers (error-rate reporters, custom probes) sample the
-/// array on the same cadence the built-in snapshots use.
-///
-/// # Errors
-///
-/// Propagates replay failures and observer errors.
-pub fn replay_observed(
-    controller: &mut FlashController,
-    trace: &WorkloadTrace,
-    options: &ReplayOptions,
-    observer: &mut dyn ReplayObserver,
-) -> Result<WorkloadReport> {
-    replay_streamed(controller, trace, options, observer)
 }
 
 /// Execution counts of one replayed segment.
@@ -802,14 +623,20 @@ pub(crate) fn execute_segment(
     Ok(counts)
 }
 
-/// [`replay_observed`] over any [`TraceSource`] — ops are synthesized
-/// on demand, so streaming sources replay without ever materializing
-/// their operation list.
+/// Replays a trace against a controller, recording per-op latency and
+/// periodic health snapshots, and calling `observer` at every snapshot
+/// point so external trackers (error-rate reporters, custom probes)
+/// sample the array on the same cadence (pass `&mut ()` for none). Ops
+/// are synthesized on demand, so streaming sources replay without ever
+/// materializing their operation list; a [`WorkloadTrace`] is a
+/// [`TraceSource`] too.
 ///
 /// # Errors
 ///
-/// Propagates replay failures and observer errors.
-pub fn replay_streamed(
+/// Propagates write/erase failures (verify failures, capacity
+/// exhaustion) and observer errors; read misses are counted, not
+/// raised.
+pub fn replay(
     controller: &mut FlashController,
     source: &dyn TraceSource,
     options: &ReplayOptions,
@@ -957,7 +784,7 @@ impl EnduranceCampaign {
 }
 
 /// Where a campaign stands inside its current round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum CampaignPhase {
     /// Mid-epoch: `cycles_done` of the round's cycles composed so far.
     Epoch {
@@ -972,62 +799,17 @@ pub enum CampaignPhase {
 }
 
 /// The campaign's resumable position: the round index and the phase
-/// position inside it. Together with a [`ControllerSnapshot`] this is
+/// position inside it. Together with a
+/// [`ControllerSnapshot`](crate::controller::ControllerSnapshot) this is
 /// everything a resumed process needs — the campaign *configuration*
 /// (recipe, seeds, shape) is reconstructed by the caller exactly like
 /// the device blueprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CampaignState {
     /// Current round (0-based); `round == rounds` means done.
     pub round: usize,
     /// Position inside the round.
     pub phase: CampaignPhase,
-}
-
-impl serde::Serialize for CampaignState {
-    fn to_value(&self) -> serde::Value {
-        #[allow(clippy::cast_precision_loss)]
-        let (phase, progress) = match self.phase {
-            CampaignPhase::Epoch { cycles_done } => ("epoch", cycles_done as f64),
-            CampaignPhase::Window { ops_done } => ("window", ops_done as f64),
-        };
-        #[allow(clippy::cast_precision_loss)]
-        serde::Value::Object(vec![
-            ("round".to_string(), serde::Value::Number(self.round as f64)),
-            ("phase".to_string(), serde::Value::String(phase.to_string())),
-            ("progress".to_string(), serde::Value::Number(progress)),
-        ])
-    }
-}
-impl serde::Deserialize for CampaignState {}
-
-impl CampaignState {
-    /// Decodes a state from its JSON serialization.
-    ///
-    /// # Errors
-    ///
-    /// [`ArrayError::Snapshot`] on missing or ill-typed fields.
-    pub fn from_value(value: &serde::Value) -> Result<Self> {
-        let bad = |m: &str| ArrayError::Snapshot(m.to_string());
-        let num = |name: &str| {
-            value
-                .get(name)
-                .and_then(serde::Value::as_u64)
-                .ok_or_else(|| bad(&format!("campaign state missing `{name}`")))
-        };
-        let round = num("round")? as usize;
-        let progress = num("progress")?;
-        let phase = match value.get("phase").and_then(serde::Value::as_str) {
-            Some("epoch") => CampaignPhase::Epoch {
-                cycles_done: progress,
-            },
-            Some("window") => CampaignPhase::Window {
-                ops_done: progress as usize,
-            },
-            _ => return Err(bad("campaign state has no phase tag")),
-        };
-        Ok(Self { round, phase })
-    }
 }
 
 /// A full campaign checkpoint: the controller's complete state plus
@@ -1040,29 +822,6 @@ pub struct CampaignCheckpoint {
     pub controller: crate::controller::ControllerSnapshot,
     /// The campaign position.
     pub state: CampaignState,
-}
-
-impl CampaignCheckpoint {
-    /// Decodes a checkpoint from its JSON serialization.
-    ///
-    /// # Errors
-    ///
-    /// [`ArrayError::Snapshot`] on syntax or schema errors.
-    pub fn from_json(text: &str) -> Result<Self> {
-        let value = serde_json::from_str(text).map_err(|e| ArrayError::Snapshot(e.to_string()))?;
-        Ok(Self {
-            controller: crate::controller::ControllerSnapshot::from_value(
-                value
-                    .get("controller")
-                    .ok_or_else(|| ArrayError::Snapshot("checkpoint missing controller".into()))?,
-            )?,
-            state: CampaignState::from_value(
-                value
-                    .get("state")
-                    .ok_or_else(|| ArrayError::Snapshot("checkpoint missing state".into()))?,
-            )?,
-        })
-    }
 }
 
 /// What one [`CampaignRunner::step`] did.
@@ -1273,7 +1032,7 @@ mod tests {
                 },
                 WorkloadOp::Write {
                     lpn: Some(4),
-                    // Above 2^53: must survive the f64-based JSON shim.
+                    // Above 2^53: JSON integers must stay exact.
                     pattern: PagePattern::Seeded {
                         seed: u64::MAX - 12,
                     },
@@ -1283,7 +1042,7 @@ mod tests {
             ],
         };
         let json = serde_json::to_string_pretty(&trace).unwrap();
-        assert_eq!(WorkloadTrace::from_json(&json).unwrap(), trace);
+        assert_eq!(serde_json::from_str::<WorkloadTrace>(&json).unwrap(), trace);
     }
 
     #[test]
@@ -1291,7 +1050,7 @@ mod tests {
         let config = small();
         let mut c = FlashController::new(config);
         let trace = WorkloadTrace::sequential_fill(4, PagePattern::Checkerboard { phase: false });
-        let report = replay(&mut c, &trace, &ReplayOptions::default()).unwrap();
+        let report = replay(&mut c, &trace, &ReplayOptions::default(), &mut ()).unwrap();
         assert_eq!(report.writes, 4);
         assert_eq!(report.cells_written, 32);
         assert!(report.cells_per_second > 0.0);
@@ -1308,7 +1067,7 @@ mod tests {
         let mut c = FlashController::new(config);
         let capacity = c.logical_capacity();
         let trace = WorkloadTrace::gc_churn(3 * capacity, capacity, 42);
-        let report = replay(&mut c, &trace, &ReplayOptions::default()).unwrap();
+        let report = replay(&mut c, &trace, &ReplayOptions::default(), &mut ()).unwrap();
         let wear = &report.snapshots.last().unwrap().wear;
         assert!(wear.total_erases > 0, "{wear:?}");
         assert_eq!(report.writes as usize, 4 * capacity);
@@ -1319,7 +1078,7 @@ mod tests {
         let mut c = FlashController::new(small());
         let capacity = c.logical_capacity();
         let trace = WorkloadTrace::read_heavy(2, 5, capacity, 7);
-        let report = replay(&mut c, &trace, &ReplayOptions::default()).unwrap();
+        let report = replay(&mut c, &trace, &ReplayOptions::default(), &mut ()).unwrap();
         assert_eq!(report.reads + report.read_misses, 10);
         assert!(report.read_latency_us.is_some() || report.reads == 0);
     }
@@ -1344,7 +1103,7 @@ mod tests {
             snapshot_interval: 3,
             margin_scan: true,
         };
-        let report = replay(&mut c, &trace, &options).unwrap();
+        let report = replay(&mut c, &trace, &options, &mut ()).unwrap();
         assert!(report.snapshots.len() >= 3);
         // Wear and fluence are monotone over the trace.
         for pair in report.snapshots.windows(2) {
@@ -1370,7 +1129,7 @@ mod tests {
             margin_scan: false,
         };
         let mut recorder = Recorder(Vec::new());
-        let report = replay_observed(&mut c, &trace, &options, &mut recorder).unwrap();
+        let report = replay(&mut c, &trace, &options, &mut recorder).unwrap();
         // Interval snapshots at 2 and 4; op 4 is terminal and must not
         // be observed twice (the historical duplicate).
         assert_eq!(recorder.0, vec![2, 4]);
@@ -1387,7 +1146,7 @@ mod tests {
             snapshot_interval: 2,
             margin_scan: false,
         };
-        let report = replay(&mut c, &trace, &options).unwrap();
+        let report = replay(&mut c, &trace, &options, &mut ()).unwrap();
         let indices: Vec<usize> = report.snapshots.iter().map(|s| s.op_index).collect();
         assert_eq!(indices, vec![2, 4, 5]);
         // The 5th rotating write wrapped onto logical page 0: the final
@@ -1412,8 +1171,8 @@ mod tests {
         };
         let mut streamed = FlashController::new(small());
         let mut materialized = FlashController::new(small());
-        let a = replay_streamed(&mut streamed, &source, &options, &mut ()).unwrap();
-        let b = replay_observed(&mut materialized, &trace, &options, &mut ()).unwrap();
+        let a = replay(&mut streamed, &source, &options, &mut ()).unwrap();
+        let b = replay(&mut materialized, &trace, &options, &mut ()).unwrap();
         assert_eq!(streamed.state_digest(), materialized.state_digest());
         assert_eq!(a.writes, b.writes);
         assert_eq!(a.snapshots.len(), b.snapshots.len());
@@ -1479,7 +1238,7 @@ mod tests {
             },
         ] {
             let json = serde_json::to_string(&state).unwrap();
-            let decoded = CampaignState::from_value(&serde_json::from_str(&json).unwrap()).unwrap();
+            let decoded = serde_json::from_str::<CampaignState>(&json).unwrap();
             assert_eq!(decoded, state);
         }
     }
@@ -1489,7 +1248,7 @@ mod tests {
         let config = small();
         let mut c = FlashController::new(config);
         let trace = WorkloadTrace::full_array_cycle(config);
-        let report = replay(&mut c, &trace, &ReplayOptions::default()).unwrap();
+        let report = replay(&mut c, &trace, &ReplayOptions::default(), &mut ()).unwrap();
         assert_eq!(
             report.writes as usize,
             (config.blocks - 1) * config.pages_per_block

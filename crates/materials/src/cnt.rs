@@ -12,7 +12,7 @@ use crate::graphene;
 use crate::{MaterialError, Result};
 
 /// A chirality index pair `(n, m)` with `n ≥ m ≥ 0`, `n > 0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub struct Chirality {
     n: u32,
     m: u32,
@@ -65,7 +65,7 @@ impl Chirality {
 }
 
 /// A single-walled carbon nanotube.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub struct Cnt {
     chirality: Chirality,
 }

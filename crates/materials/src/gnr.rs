@@ -14,7 +14,7 @@ use crate::graphene;
 use crate::{MaterialError, Result};
 
 /// Ribbon edge termination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum Edge {
     /// Armchair edge — semiconducting families.
     Armchair,
@@ -23,7 +23,7 @@ pub enum Edge {
 }
 
 /// The three armchair families by dimer count `N mod 3`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum ArmchairFamily {
     /// `N = 3p`: moderate gap.
     ThreeP,
@@ -34,7 +34,7 @@ pub enum ArmchairFamily {
 }
 
 /// A graphene nanoribbon specified by edge type and dimer-line count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub struct Nanoribbon {
     edge: Edge,
     dimer_lines: u32,

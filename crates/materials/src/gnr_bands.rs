@@ -23,7 +23,7 @@ use crate::graphene;
 use crate::{MaterialError, Result};
 
 /// The tight-binding subband structure of one armchair ribbon.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct AgnrBands {
     dimer_lines: u32,
     hopping: Energy,

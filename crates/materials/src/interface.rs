@@ -18,7 +18,7 @@ use crate::{MaterialError, Result};
 /// different barrier than tunneling *into* it, because the emitters differ
 /// (channel vs CNT). The device model therefore holds one
 /// `TunnelInterface` per direction per oxide.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct TunnelInterface {
     emitter_work_function: Energy,
     oxide: Oxide,
@@ -75,7 +75,7 @@ impl TunnelInterface {
     /// triangular barrier stops reaching through the film).
     ///
     /// Below this drop — or for films thinner than ~4 nm (paper §II ref.
-    /// [1]) — the `gnr-tunneling::regime` module selects direct tunneling.
+    /// \[1\]) — the `gnr-tunneling::regime` module selects direct tunneling.
     #[must_use]
     pub fn fn_onset_voltage(&self) -> f64 {
         self.barrier_height().as_ev()

@@ -19,7 +19,7 @@ use crate::{MaterialError, Result};
 const SCREENING_LENGTH_NM: f64 = 0.6;
 
 /// A multilayer graphene nanoribbon channel.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct MultilayerGnr {
     ribbon: Nanoribbon,
     layers: u32,

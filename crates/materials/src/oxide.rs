@@ -15,7 +15,7 @@ use gnr_units::{CapacitancePerArea, ElectricField, Energy, Length, Mass};
 use crate::{MaterialError, Result};
 
 /// An insulating barrier material.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct Oxide {
     name: String,
     relative_permittivity: f64,

@@ -54,7 +54,7 @@ fn segment(xs: &[f64], x: f64) -> usize {
 ///
 /// Evaluation clamps to the end values outside the hull (flat
 /// extrapolation), which is the safe behaviour for physical lookup tables.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct LinearInterpolator {
     xs: Vec<f64>,
     ys: Vec<f64>,
@@ -100,7 +100,7 @@ impl LinearInterpolator {
 }
 
 /// Natural cubic spline (second derivative zero at both ends).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct CubicSpline {
     xs: Vec<f64>,
     ys: Vec<f64>,
@@ -156,7 +156,7 @@ impl CubicSpline {
 /// Preserves monotonicity of the data — important when resampling the
 /// strictly decreasing `Jin(t)` / increasing `Jout(t)` traces of Figure 5 so
 /// that no spurious oscillation creates a fake crossing.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct Pchip {
     xs: Vec<f64>,
     ys: Vec<f64>,

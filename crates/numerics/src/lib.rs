@@ -5,7 +5,7 @@
 //!
 //! The paper's program/erase transient is a stiff charge-balance ODE whose
 //! tunneling currents vary over many decades within a single pulse; its
-//! figures are parameter sweeps; its cited FN-plot technique (ref. [9]) is a
+//! figures are parameter sweeps; its cited FN-plot technique (ref. \[9\]) is a
 //! linear regression. This crate provides exactly that machinery, built from
 //! scratch:
 //!

@@ -17,7 +17,7 @@
 use crate::{NumericsError, Result};
 
 /// A dense row-major matrix.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -7,7 +7,7 @@ use crate::ode::OdeRhs;
 use crate::{NumericsError, Result};
 
 /// Tuning options for [`Dopri45`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct OdeOptions {
     /// Relative tolerance per component.
     pub rtol: f64,

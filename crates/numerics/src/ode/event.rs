@@ -49,7 +49,7 @@ impl core::fmt::Debug for Event<'_> {
 }
 
 /// A localised event occurrence.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct EventOccurrence {
     /// Label of the event that fired.
     pub label: String,

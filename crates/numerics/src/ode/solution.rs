@@ -6,7 +6,7 @@
 /// statistics. Between stored nodes the state can be [`sampled`](Self::sample)
 /// with the third-order cubic Hermite interpolant, which matches the
 /// integrator's own local model of the solution.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct OdeSolution {
     times: Vec<f64>,
     states: Vec<Vec<f64>>,

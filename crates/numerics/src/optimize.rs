@@ -21,7 +21,7 @@
 use crate::{NumericsError, Result};
 
 /// A located minimum.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct Minimum {
     /// Abscissa of the minimum.
     pub x: f64,
@@ -32,7 +32,7 @@ pub struct Minimum {
 }
 
 /// A located minimum in N dimensions.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct MinimumNd {
     /// Coordinates of the minimum.
     pub x: Vec<f64>,

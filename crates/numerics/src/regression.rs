@@ -1,6 +1,6 @@
 //! Least-squares fitting: ordinary linear regression and polynomial fits.
 //!
-//! The Fowler–Nordheim plot technique (paper ref. [9], Chiou et al. 2001)
+//! The Fowler–Nordheim plot technique (paper ref. \[9\], Chiou et al. 2001)
 //! extracts the tunneling coefficients from the straight line
 //! `ln(J/E²) = ln A − B/E`. [`fit_line`] provides the slope/intercept with
 //! goodness-of-fit statistics; `gnr-tunneling::fn_plot` builds on it.
@@ -22,7 +22,7 @@ use crate::linalg::Matrix;
 use crate::{NumericsError, Result};
 
 /// Result of an ordinary least-squares line fit `y = intercept + slope·x`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct LinearFit {
     /// Fitted slope.
     pub slope: f64,

@@ -13,7 +13,7 @@
 use crate::{NumericsError, Result};
 
 /// Summary statistics of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,
@@ -96,7 +96,7 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// A fixed-width histogram.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

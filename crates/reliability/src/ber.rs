@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The raw bit-error model over a population's analog state.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct BerModel {
     /// 1σ of the baseline per-read threshold noise (V).
     pub read_noise_sigma: f64,

@@ -119,7 +119,7 @@ impl PageCodec for NoEcc {
 }
 
 /// Serializable codec selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub enum EccConfig {
     /// No correction: the raw baseline over `bits` bits.
     None {
@@ -176,49 +176,24 @@ impl EccConfig {
     }
 }
 
-// The vendored serde shim derives only unit-variant enums; the
-// data-carrying enums serialize by hand, like the workload layer's ops.
+// The serde shim derives no tuple variants, so `Corrected(bits)`
+// serializes by hand.
 impl serde::Serialize for DecodeOutcome {
     fn to_value(&self) -> serde::Value {
-        let field = |k: &str, v: serde::Value| (k.to_string(), v);
-        #[allow(clippy::cast_precision_loss)]
+        let outcome = |name: &str| ("outcome".to_string(), serde::Value::String(name.into()));
         serde::Value::Object(match *self {
-            Self::Clean => vec![field("outcome", serde::Value::String("clean".into()))],
+            Self::Clean => vec![outcome("clean")],
             Self::Corrected(bits) => vec![
-                field("outcome", serde::Value::String("corrected".into())),
-                field("bits", serde::Value::Number(bits as f64)),
+                outcome("corrected"),
+                ("bits".to_string(), serde::Serialize::to_value(&bits)),
             ],
-            Self::Detected => vec![field("outcome", serde::Value::String("detected".into()))],
+            Self::Detected => vec![outcome("detected")],
         })
     }
 }
-impl serde::Deserialize for DecodeOutcome {}
-
-impl serde::Serialize for EccConfig {
-    fn to_value(&self) -> serde::Value {
-        let field = |k: &str, v: serde::Value| (k.to_string(), v);
-        #[allow(clippy::cast_precision_loss)]
-        serde::Value::Object(match *self {
-            Self::None { bits } => vec![
-                field("kind", serde::Value::String("none".into())),
-                field("bits", serde::Value::Number(bits as f64)),
-            ],
-            Self::HammingSecDed { data_bits } => vec![
-                field("kind", serde::Value::String("hamming_secded".into())),
-                field("data_bits", serde::Value::Number(data_bits as f64)),
-            ],
-            Self::Bch { m, t } => vec![
-                field("kind", serde::Value::String("bch".into())),
-                field("m", serde::Value::Number(f64::from(m))),
-                field("t", serde::Value::Number(t as f64)),
-            ],
-        })
-    }
-}
-impl serde::Deserialize for EccConfig {}
 
 /// Aggregated per-page decode statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct DecodeStats {
     /// Pages decoded.
     pub pages: usize,

@@ -21,7 +21,7 @@ use crate::{ReliabilityError, Result};
 
 /// The retry ladder: how far and how often to step the reference when a
 /// page fails to decode.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct ReadRetryPolicy {
     /// Reference step per retry (V); retries alternate −step, +step,
     /// −2·step, +2·step, …

@@ -22,7 +22,7 @@ use crate::readpath::{ReadPath, ReadRetryPolicy};
 use crate::{ReliabilityError, Result};
 
 /// When to refresh a page.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct ScrubPolicy {
     /// Refresh a page whose decode corrected at least this many bits
     /// (1 = refresh on any correction).
@@ -55,7 +55,7 @@ impl Default for ScrubPolicy {
 }
 
 /// What one scrub pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize)]
 pub struct ScrubReport {
     /// Live pages scanned.
     pub pages_scanned: usize,

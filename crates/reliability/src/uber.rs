@@ -28,7 +28,7 @@ use crate::readpath::recenter_from;
 use crate::{ReliabilityError, Result};
 
 /// One reliability measurement of an array state.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct ReliabilityPoint {
     /// Ops completed when the point was taken (0 for standalone scans).
     pub op_index: usize,
@@ -245,7 +245,7 @@ mod tests {
     use super::*;
     use gnr_flash::engine::BatchSimulator;
     use gnr_flash_array::nand::NandConfig;
-    use gnr_flash_array::workload::{replay_observed, PagePattern, ReplayOptions, WorkloadTrace};
+    use gnr_flash_array::workload::{replay, PagePattern, ReplayOptions, WorkloadTrace};
 
     fn programmed_array() -> NandArray {
         let mut array = NandArray::new(NandConfig {
@@ -339,7 +339,7 @@ mod tests {
             snapshot_interval: 4,
             margin_scan: false,
         };
-        let report = replay_observed(&mut controller, &trace, &options, &mut observer).unwrap();
+        let report = replay(&mut controller, &trace, &options, &mut observer).unwrap();
         assert_eq!(observer.trajectory.len(), report.snapshots.len());
         // Wear accumulates monotonically along the trajectory.
         for pair in observer.trajectory.windows(2) {

@@ -19,8 +19,9 @@ pub const DEFAULT_CAPACITY: usize = 1024;
 
 /// A structured FTL/engine event. Payload fields are the minimum needed
 /// to replay-diff a trace; bulk statistics live in the metrics
-/// registry, not here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// registry, not here. Serializes as `{"kind": "<snake_case variant>",
+/// ...fields}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum EventKind {
     /// The FTL ran out of free blocks on allocation and erased a
     /// fully-invalid block in place.
@@ -114,31 +115,9 @@ pub enum EventKind {
     },
 }
 
-impl EventKind {
-    /// The event's tag string, as serialized under `"kind"`.
-    #[must_use]
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Self::Reclaim { .. } => "reclaim",
-            Self::GcErase { .. } => "gc_erase",
-            Self::GcRelocation { .. } => "gc_relocation",
-            Self::EpochJump { .. } => "epoch_jump",
-            Self::CheckpointRestore { .. } => "checkpoint_restore",
-            Self::FlowMapEscape { .. } => "flowmap_escape",
-            Self::CycleMapFallback { .. } => "cyclemap_fallback",
-            Self::DecodeFailure { .. } => "decode_failure",
-            Self::ReadRetryStep { .. } => "read_retry_step",
-            Self::ProgramFail { .. } => "program_fail",
-            Self::BlockRetired { .. } => "block_retired",
-            Self::PowerLoss { .. } => "power_loss",
-            Self::RecoveryReplay { .. } => "recovery_replay",
-            Self::ReadReclaim { .. } => "read_reclaim",
-        }
-    }
-}
-
 /// One journal entry: an event stamped with the replay op index current
-/// at record time.
+/// at record time. Serializes flat, as `op` and `backend` followed by
+/// the [`EventKind`] object's fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalEvent {
     /// Op clock value when the event fired.
@@ -150,143 +129,32 @@ pub struct JournalEvent {
     pub kind: EventKind,
 }
 
-#[allow(clippy::cast_precision_loss)]
-fn num(v: u64) -> serde::Value {
-    serde::Value::Number(v as f64)
-}
-
 impl serde::Serialize for JournalEvent {
     fn to_value(&self) -> serde::Value {
         let mut fields = vec![
-            ("op".to_string(), num(self.op)),
-            (
-                "backend".to_string(),
-                serde::Value::String(self.backend.to_string()),
-            ),
-            (
-                "kind".to_string(),
-                serde::Value::String(self.kind.tag().to_string()),
-            ),
+            ("op".to_string(), self.op.to_value()),
+            ("backend".to_string(), self.backend.to_value()),
         ];
-        match self.kind {
-            EventKind::Reclaim { block } => fields.push(("block".to_string(), num(block))),
-            EventKind::GcErase { block, survivors } => {
-                fields.push(("block".to_string(), num(block)));
-                fields.push(("survivors".to_string(), num(survivors)));
-            }
-            EventKind::GcRelocation { lpn, block, page } => {
-                fields.push(("lpn".to_string(), num(lpn)));
-                fields.push(("block".to_string(), num(block)));
-                fields.push(("page".to_string(), num(page)));
-            }
-            EventKind::EpochJump { cycles } => fields.push(("cycles".to_string(), num(cycles))),
-            EventKind::CheckpointRestore { digest } => {
-                // Full-width hex: u64 digests exceed f64's 2^53 integer
-                // range, so a JSON number would corrupt them.
-                fields.push((
-                    "digest".to_string(),
-                    serde::Value::String(format!("{digest:#018x}")),
-                ));
-            }
-            EventKind::FlowMapEscape { queries } => {
-                fields.push(("queries".to_string(), num(queries)));
-            }
-            EventKind::CycleMapFallback { probes } => {
-                fields.push(("probes".to_string(), num(probes)));
-            }
-            EventKind::DecodeFailure { pages } => fields.push(("pages".to_string(), num(pages))),
-            EventKind::ReadRetryStep { depth } => fields.push(("depth".to_string(), num(depth))),
-            EventKind::ProgramFail { block, page } => {
-                fields.push(("block".to_string(), num(block)));
-                fields.push(("page".to_string(), num(page)));
-            }
-            EventKind::BlockRetired { block, relocated } => {
-                fields.push(("block".to_string(), num(block)));
-                fields.push(("relocated".to_string(), num(relocated)));
-            }
-            EventKind::PowerLoss { pending_deltas } => {
-                fields.push(("pending_deltas".to_string(), num(pending_deltas)));
-            }
-            EventKind::RecoveryReplay { deltas } => {
-                fields.push(("deltas".to_string(), num(deltas)));
-            }
-            EventKind::ReadReclaim { block, pages } => {
-                fields.push(("block".to_string(), num(block)));
-                fields.push(("pages".to_string(), num(pages)));
-            }
+        if let serde::Value::Object(kind) = self.kind.to_value() {
+            fields.extend(kind);
         }
         serde::Value::Object(fields)
     }
 }
-impl serde::Deserialize for JournalEvent {}
 
-impl JournalEvent {
-    /// Parses an event back from its [`serde::Serialize::to_value`]
-    /// form. Returns `None` on an unknown tag or missing field.
-    #[must_use]
-    pub fn from_value(value: &serde::Value) -> Option<Self> {
-        let op = value.get("op")?.as_u64()?;
+impl serde::Deserialize for JournalEvent {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         // Traces written before backend attribution existed decode as
         // the default backend.
-        let backend = value
-            .get("backend")
-            .and_then(serde::Value::as_str)
-            .map_or(crate::DEFAULT_BACKEND, intern_backend);
-        let field = |name: &str| value.get(name).and_then(serde::Value::as_u64);
-        let kind = match value.get("kind")?.as_str()? {
-            "reclaim" => EventKind::Reclaim {
-                block: field("block")?,
-            },
-            "gc_erase" => EventKind::GcErase {
-                block: field("block")?,
-                survivors: field("survivors")?,
-            },
-            "gc_relocation" => EventKind::GcRelocation {
-                lpn: field("lpn")?,
-                block: field("block")?,
-                page: field("page")?,
-            },
-            "epoch_jump" => EventKind::EpochJump {
-                cycles: field("cycles")?,
-            },
-            "checkpoint_restore" => {
-                let hex = value.get("digest")?.as_str()?;
-                let digest = u64::from_str_radix(hex.strip_prefix("0x")?, 16).ok()?;
-                EventKind::CheckpointRestore { digest }
-            }
-            "flowmap_escape" => EventKind::FlowMapEscape {
-                queries: field("queries")?,
-            },
-            "cyclemap_fallback" => EventKind::CycleMapFallback {
-                probes: field("probes")?,
-            },
-            "decode_failure" => EventKind::DecodeFailure {
-                pages: field("pages")?,
-            },
-            "read_retry_step" => EventKind::ReadRetryStep {
-                depth: field("depth")?,
-            },
-            "program_fail" => EventKind::ProgramFail {
-                block: field("block")?,
-                page: field("page")?,
-            },
-            "block_retired" => EventKind::BlockRetired {
-                block: field("block")?,
-                relocated: field("relocated")?,
-            },
-            "power_loss" => EventKind::PowerLoss {
-                pending_deltas: field("pending_deltas")?,
-            },
-            "recovery_replay" => EventKind::RecoveryReplay {
-                deltas: field("deltas")?,
-            },
-            "read_reclaim" => EventKind::ReadReclaim {
-                block: field("block")?,
-                pages: field("pages")?,
-            },
-            _ => return None,
+        let backend = match value.get("backend") {
+            Some(name) => intern_backend(&String::from_value(name)?),
+            None => crate::DEFAULT_BACKEND,
         };
-        Some(Self { op, backend, kind })
+        Ok(Self {
+            op: value.field("op")?,
+            backend,
+            kind: EventKind::from_value(value)?,
+        })
     }
 }
 
@@ -364,7 +232,7 @@ pub fn events() -> Vec<JournalEvent> {
 }
 
 /// Frozen view of the journal ring in a [`crate::TelemetrySnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct JournalSnapshot {
     /// Events recorded since the last [`clear`], evicted ones included.
     pub recorded: u64,
@@ -374,39 +242,6 @@ pub struct JournalSnapshot {
     pub capacity: u64,
     /// Retained events, oldest first.
     pub events: Vec<JournalEvent>,
-}
-
-impl serde::Serialize for JournalSnapshot {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("recorded".to_string(), num(self.recorded)),
-            ("dropped".to_string(), num(self.dropped)),
-            ("capacity".to_string(), num(self.capacity)),
-            (
-                "events".to_string(),
-                serde::Value::Array(self.events.iter().map(serde::Serialize::to_value).collect()),
-            ),
-        ])
-    }
-}
-impl serde::Deserialize for JournalSnapshot {}
-
-impl JournalSnapshot {
-    /// Parses a snapshot back from its serialized form.
-    #[must_use]
-    pub fn from_value(value: &serde::Value) -> Option<Self> {
-        Some(Self {
-            recorded: value.get("recorded")?.as_u64()?,
-            dropped: value.get("dropped")?.as_u64()?,
-            capacity: value.get("capacity")?.as_u64()?,
-            events: value
-                .get("events")?
-                .as_array()?
-                .iter()
-                .map(JournalEvent::from_value)
-                .collect::<Option<Vec<_>>>()?,
-        })
-    }
 }
 
 /// Captures the current ring state.
@@ -424,7 +259,7 @@ pub fn snapshot() -> JournalSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Serialize as _;
+    use serde::{Deserialize as _, Serialize as _};
 
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {

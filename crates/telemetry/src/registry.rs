@@ -228,31 +228,20 @@ impl HistogramSnapshot {
 }
 
 impl serde::Serialize for HistogramSnapshot {
-    #[allow(clippy::cast_precision_loss)]
     fn to_value(&self) -> serde::Value {
-        let num = |v: u64| serde::Value::Number(v as f64);
         serde::Value::Object(vec![
-            ("count".to_string(), num(self.count)),
-            ("sum".to_string(), num(self.sum)),
-            ("min".to_string(), num(self.min)),
-            ("max".to_string(), num(self.max)),
-            ("mean".to_string(), serde::Value::Number(self.mean())),
-            ("p50".to_string(), num(self.quantile(0.50))),
-            ("p90".to_string(), num(self.quantile(0.90))),
-            ("p99".to_string(), num(self.quantile(0.99))),
-            (
-                "buckets".to_string(),
-                serde::Value::Array(
-                    self.buckets
-                        .iter()
-                        .map(|&(lower, n)| serde::Value::Array(vec![num(lower), num(n)]))
-                        .collect(),
-                ),
-            ),
+            ("count".to_string(), self.count.to_value()),
+            ("sum".to_string(), self.sum.to_value()),
+            ("min".to_string(), self.min.to_value()),
+            ("max".to_string(), self.max.to_value()),
+            ("mean".to_string(), self.mean().to_value()),
+            ("p50".to_string(), self.quantile(0.50).to_value()),
+            ("p90".to_string(), self.quantile(0.90).to_value()),
+            ("p99".to_string(), self.quantile(0.99).to_value()),
+            ("buckets".to_string(), self.buckets.to_value()),
         ])
     }
 }
-impl serde::Deserialize for HistogramSnapshot {}
 
 /// A gauge collector: a pure read of counters owned elsewhere (e.g. the
 /// engine's cache tiers), sampled at [`snapshot`] time while telemetry
@@ -368,19 +357,15 @@ impl TelemetrySnapshot {
 }
 
 impl serde::Serialize for TelemetrySnapshot {
-    #[allow(clippy::cast_precision_loss)]
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![
-            (
-                "backend".to_string(),
-                serde::Value::String(self.backend.clone()),
-            ),
+            ("backend".to_string(), self.backend.to_value()),
             (
                 "counters".to_string(),
                 serde::Value::Object(
                     self.counters
                         .iter()
-                        .map(|(name, v)| (name.clone(), serde::Value::Number(*v as f64)))
+                        .map(|(name, v)| (name.clone(), v.to_value()))
                         .collect(),
                 ),
             ),
@@ -393,15 +378,11 @@ impl serde::Serialize for TelemetrySnapshot {
                         .collect(),
                 ),
             ),
-            (
-                "zones".to_string(),
-                serde::Value::Array(self.zones.iter().map(serde::Serialize::to_value).collect()),
-            ),
+            ("zones".to_string(), self.zones.to_value()),
             ("journal".to_string(), self.journal.to_value()),
         ])
     }
 }
-impl serde::Deserialize for TelemetrySnapshot {}
 
 /// Captures a coherent [`TelemetrySnapshot`]. No flush step is needed —
 /// counter reads sum their shards — so two back-to-back snapshots with

@@ -94,7 +94,7 @@ pub fn enter_cached(cell: &OnceLock<&'static ZoneStats>, name: &'static str) -> 
 }
 
 /// Frozen view of one zone in a [`crate::TelemetrySnapshot`] profile.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct ZoneSnapshot {
     /// Zone name as given to [`crate::zone!`].
     pub name: String,
@@ -105,25 +105,6 @@ pub struct ZoneSnapshot {
     /// Wall time net of nested zones opened on the same thread.
     pub self_ns: u64,
 }
-
-impl serde::Serialize for ZoneSnapshot {
-    #[allow(clippy::cast_precision_loss)]
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("name".to_string(), serde::Value::String(self.name.clone())),
-            ("calls".to_string(), serde::Value::Number(self.calls as f64)),
-            (
-                "total_ns".to_string(),
-                serde::Value::Number(self.total_ns as f64),
-            ),
-            (
-                "self_ns".to_string(),
-                serde::Value::Number(self.self_ns as f64),
-            ),
-        ])
-    }
-}
-impl serde::Deserialize for ZoneSnapshot {}
 
 /// The flat profile: every zone entered since the last reset, sorted by
 /// name. Zones currently open are reported with their completed calls

@@ -19,7 +19,7 @@ use gnr_units::constants::ELEMENTARY_CHARGE;
 use gnr_units::{Current, ElectricField, Energy, Length};
 
 /// Lucky-electron CHE injection model.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct CheModel {
     barrier: Energy,
     mean_free_path: Length,

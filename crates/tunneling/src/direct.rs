@@ -24,7 +24,7 @@ use crate::models::TunnelingModel;
 /// Unlike the pure [`FnModel`], this model must know the film thickness:
 /// the regime depends on the *drop* `V_ox = E·t_ox`, not on the field
 /// alone.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct DirectTunnelingModel {
     base: FnModel,
     thickness: Length,

@@ -26,7 +26,7 @@ use gnr_units::{CurrentDensity, ElectricField, Energy, Mass, Temperature};
 use crate::models::TunnelingModel;
 
 /// The `(A, B)` coefficient pair of `J = A E² exp(−B/E)`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct FnCoefficients {
     /// Pre-exponential coefficient `A` in A/V².
     pub a: f64,
@@ -88,7 +88,7 @@ impl FnCoefficients {
 /// let b = model.coefficients().b;
 /// assert!(b > 2.3e10 && b < 2.7e10, "B = {b:e}");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct FnModel {
     barrier: Energy,
     m_ox: Mass,

@@ -6,7 +6,7 @@
 //! ln(J/E²) = ln A − B·(1/E)
 //! ```
 //!
-//! The paper (§IV, ref. [9] Chiou–Gambino–Mohammad 2001) notes that `A`
+//! The paper (§IV, ref. \[9\] Chiou–Gambino–Mohammad 2001) notes that `A`
 //! and `B` "can be derived from FN plot". This module generates plot
 //! points from any model and extracts `(A, B)` — and from `B`, the barrier
 //! height for a known mass (or vice versa) — with regression statistics.
@@ -18,7 +18,7 @@ use gnr_units::{ElectricField, Energy, Mass};
 use crate::models::TunnelingModel;
 
 /// One FN-plot point.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct FnPlotPoint {
     /// Abscissa `1/E` in m/V.
     pub inverse_field: f64,
@@ -27,7 +27,7 @@ pub struct FnPlotPoint {
 }
 
 /// Extraction result: the `(A, B)` pair and the underlying fit.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct ExtractedFnParams {
     /// Extracted pre-exponential `A` (A/V²).
     pub a: f64,

@@ -24,7 +24,7 @@
 //! * [`che`] — the lucky-electron channel-hot-electron injection model
 //!   (the NOR-flash programming mechanism of §II).
 //! * [`fn_plot`] — FN-plot linearisation `ln(J/E²)` vs `1/E` and
-//!   parameter extraction (paper ref. [9]).
+//!   parameter extraction (paper ref. \[9\]).
 //! * [`regime`] — FN vs direct vs negligible classification (the §II
 //!   "debate" about 4–6 nm oxides).
 //! * [`tsu_esaki`] — first-principles supply-function current (numeric

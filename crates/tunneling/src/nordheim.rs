@@ -63,7 +63,7 @@ pub fn nordheim_t(f: f64) -> f64 {
 /// to the prefactor. At FN fields in SiO₂ the correction *increases* the
 /// current by one to three orders of magnitude — the ablation bench
 /// quantifies this against the uncorrected law.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct ImageForceFnModel {
     base: FnModel,
     relative_permittivity: f64,

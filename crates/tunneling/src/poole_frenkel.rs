@@ -19,7 +19,7 @@ use gnr_units::{CurrentDensity, ElectricField, Energy, Temperature};
 use crate::models::TunnelingModel;
 
 /// The Poole–Frenkel conduction model.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct PooleFrenkelModel {
     trap_depth: Energy,
     relative_permittivity: f64,

@@ -10,7 +10,7 @@ use gnr_materials::interface::TunnelInterface;
 use gnr_units::{ElectricField, Length, Voltage};
 
 /// The dominant conduction mechanism for a film under bias.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum TunnelingRegime {
     /// Triangular-barrier Fowler–Nordheim tunneling (`q·V_ox > ΦB`, film
     /// thick enough that carriers enter the oxide conduction band).
@@ -27,7 +27,7 @@ pub const NEGLIGIBLE_FIELD: f64 = 1.0e8;
 
 /// Film thickness below which direct tunneling dominates regardless of
 /// drop (the paper's "ultra-thin oxide layers (2–5 nm)"; the FN-dominance
-/// threshold claimed by ref. [1] is ≥ 4 nm).
+/// threshold claimed by ref. \[1\] is ≥ 4 nm).
 pub const DIRECT_THICKNESS_LIMIT_NM: f64 = 4.0;
 
 /// Classifies the regime for a film of `thickness` under a drop `v_ox`.

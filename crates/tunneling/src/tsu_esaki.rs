@@ -21,7 +21,7 @@ use gnr_units::{CurrentDensity, ElectricField, Energy, Length, Mass, Temperature
 use crate::wkb::BarrierProfile;
 
 /// Tsu–Esaki current evaluator over a triangular/trapezoidal barrier.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct TsuEsakiModel {
     barrier: Energy,
     thickness: Length,

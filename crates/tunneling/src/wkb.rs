@@ -21,7 +21,7 @@ use gnr_units::{ElectricField, Energy, Length, Mass};
 
 /// A one-dimensional potential-energy barrier profile `U(x)` (joules,
 /// relative to the emitter Fermi level) over `x ∈ [0, thickness]`.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct BarrierProfile {
     /// Barrier height at the emitter interface.
     barrier: Energy,

@@ -33,7 +33,7 @@ quantity!(
     as_coulombs_per_square_meter
 );
 
-/// Public alias: areal charge density (see [`Charge2d`]).
+/// Public alias: an areal charge density in coulombs per square meter.
 pub type ChargeDensity = Charge2d;
 
 impl Charge {

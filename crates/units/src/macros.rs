@@ -14,7 +14,7 @@
 /// * `Add`, `Sub`, `Neg`, `Mul<f64>`, `Div<f64>`, `f64 * Name`,
 ///   `Div<Name> -> f64` (dimensionless ratio), `Sum`
 /// * `Display` in engineering notation with the unit symbol
-/// * `serde::{Serialize, Deserialize}` as a transparent `f64`
+/// * `serde::Serialize` as a transparent `f64`
 macro_rules! quantity {
     ($(#[$meta:meta])* $name:ident, $unit:literal, $from:ident, $as:ident) => {
         $(#[$meta])*
@@ -26,7 +26,6 @@ macro_rules! quantity {
             PartialOrd,
             Default,
             serde::Serialize,
-            serde::Deserialize,
         )]
         #[serde(transparent)]
         pub struct $name(f64);

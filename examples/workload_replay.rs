@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             snapshot_interval: 16,
             margin_scan: true,
         };
-        let report = replay(&mut controller, &trace, &options)?;
+        let report = replay(&mut controller, &trace, &options, &mut ())?;
         let last = report.snapshots.last().expect("final snapshot");
         println!(
             "{:>18} {:>6} {:>7} {:>7} {:>9} {:>11.0} {:>8.0} {:>7} {:>7}",
@@ -81,6 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             snapshot_interval: 32,
             margin_scan: true,
         },
+        &mut (),
     )?;
     println!(
         "{:>8} {:>8} {:>8} {:>14} {:>14}",

@@ -85,7 +85,7 @@ fn resumed_after(prefix: usize) -> (u64, u64, Vec<ReliabilityPoint>) {
 
     // "New process": everything below is rebuilt from the blueprint and
     // the JSON alone.
-    let decoded = CampaignCheckpoint::from_json(&json).unwrap();
+    let decoded: CampaignCheckpoint = serde_json::from_str(&json).unwrap();
     let mut controller = FlashController::restore(
         FloatingGateTransistor::mlgnr_cnt_paper(),
         decoded.controller,
@@ -139,10 +139,8 @@ fn snapshot_restore_round_trips_without_stepping() {
     let digest = controller.state_digest();
     let snap = controller.snapshot();
     let json = serde_json::to_string(&snap).unwrap();
-    let decoded = gnr_flash_array::controller::ControllerSnapshot::from_value(
-        &serde_json::from_str(&json).unwrap(),
-    )
-    .unwrap();
+    let decoded: gnr_flash_array::controller::ControllerSnapshot =
+        serde_json::from_str(&json).unwrap();
     let restored =
         FlashController::restore(FloatingGateTransistor::mlgnr_cnt_paper(), decoded).unwrap();
     assert_eq!(restored.state_digest(), digest);

@@ -114,7 +114,7 @@ fn crash_image_round_trips_through_json() {
 
     let image = c.crash_image().unwrap();
     let json = serde_json::to_string(&image).unwrap();
-    let decoded = CrashImage::from_value(&serde_json::from_str(&json).unwrap()).unwrap();
+    let decoded: CrashImage = serde_json::from_str(&json).unwrap();
     let recovered = FlashController::recover_backend(&backend, &decoded).unwrap();
     assert_eq!(recovered.state_digest(), c.state_digest());
     assert_eq!(recovered.live_pages(), c.live_pages());

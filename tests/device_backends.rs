@@ -8,7 +8,7 @@
 //!   flow-map machinery.
 //! * **PCM** — set/reset dynamics over a crystalline-fraction state
 //!   variable, exercising the closed-form escape where no FN flow map
-//!   applies (recorded in the journal as `flowmap_escape`).
+//!   applies (recorded in the journal as `flow_map_escape`).
 //!
 //! Several globals (the telemetry journal, the active-backend tag) are
 //! process-wide, and constructing any backend population re-stamps the
@@ -49,6 +49,7 @@ fn churn_digest(backend: &CellBackend, seed: u64) -> u64 {
             snapshot_interval: 0,
             margin_scan: false,
         },
+        &mut (),
     )
     .expect("churn replays");
     controller.state_digest()
@@ -92,12 +93,12 @@ fn gnr_backend_path_is_bit_identical_to_the_blueprint_path() {
 
     // Pre-refactor construction: blueprint-typed all the way down.
     let mut old = FlashController::new(config);
-    replay(&mut old, &trace, &options).expect("blueprint path replays");
+    replay(&mut old, &trace, &options, &mut ()).expect("blueprint path replays");
 
     // Backend-threaded construction over the same device.
     let gnr = CellBackend::gnr(FloatingGateTransistor::mlgnr_cnt_paper());
     let mut new = FlashController::with_backend(config, &gnr);
-    replay(&mut new, &trace, &options).expect("backend path replays");
+    replay(&mut new, &trace, &options, &mut ()).expect("backend path replays");
 
     assert_eq!(old.state_digest(), new.state_digest());
     let old_pop = old.array().population();
@@ -143,7 +144,7 @@ fn pcm_programs_escape_the_flow_map_and_journal_it() {
         .collect();
     assert!(
         !escapes.is_empty(),
-        "PCM programming must record flowmap_escape events, journal: {snap:?}"
+        "PCM programming must record flow_map_escape events, journal: {snap:?}"
     );
     for event in escapes {
         assert_eq!(event.backend, "pcm-resistive");

@@ -58,12 +58,12 @@ fn multi_plane_replay_is_bit_identical_to_single_plane_sequential() {
     // path with no concurrency anywhere.
     let mut reference =
         FlashController::over(NandArray::new(CONFIG).with_batch(BatchSimulator::sequential()));
-    let ref_report = replay(&mut reference, &trace, &ReplayOptions::default()).unwrap();
+    let ref_report = replay(&mut reference, &trace, &ReplayOptions::default(), &mut ()).unwrap();
 
     // Every plane count, parallel executor included, must match bitwise.
     for planes in [1, 2, 4] {
         let mut scheduled = FlashController::new(CONFIG).with_planes(planes);
-        let report = replay(&mut scheduled, &trace, &ReplayOptions::default()).unwrap();
+        let report = replay(&mut scheduled, &trace, &ReplayOptions::default(), &mut ()).unwrap();
 
         assert_eq!(report.writes, ref_report.writes, "planes {planes}");
         assert_eq!(report.reads, ref_report.reads, "planes {planes}");
@@ -237,7 +237,7 @@ fn replayer_records_exactly_one_terminal_snapshot() {
         snapshot_interval: 4,
         margin_scan: false,
     };
-    let report = replay(&mut controller, &trace, &options).unwrap();
+    let report = replay(&mut controller, &trace, &options, &mut ()).unwrap();
     let indices: Vec<usize> = report.snapshots.iter().map(|s| s.op_index).collect();
     assert_eq!(*indices.last().unwrap(), trace.ops.len());
     let mut deduped = indices.clone();
@@ -247,7 +247,7 @@ fn replayer_records_exactly_one_terminal_snapshot() {
     // Aligned op count: the cadence snapshot *is* the terminal one.
     let mut controller = FlashController::new(CONFIG);
     let trace = WorkloadTrace::sequential_fill(8, PagePattern::AllProgrammed);
-    let report = replay(&mut controller, &trace, &options).unwrap();
+    let report = replay(&mut controller, &trace, &options, &mut ()).unwrap();
     let indices: Vec<usize> = report.snapshots.iter().map(|s| s.op_index).collect();
     assert_eq!(indices, vec![4, 8]);
 }

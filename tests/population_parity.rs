@@ -280,7 +280,7 @@ proptest! {
                 .expect("in range");
         }
         let json = serde_json::to_string_pretty(&pop.snapshot()).expect("serialize");
-        let decoded = PopulationSnapshot::from_json(&json).expect("parse");
+        let decoded: PopulationSnapshot = serde_json::from_str(&json).expect("parse");
         prop_assert_eq!(&decoded, &pop.snapshot());
         let rebuilt = CellPopulation::restore(
             gnr_flash::device::FloatingGateTransistor::mlgnr_cnt_paper(),

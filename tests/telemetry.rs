@@ -33,6 +33,7 @@ fn run_churn(seed: u64) {
             snapshot_interval: 0,
             margin_scan: false,
         },
+        &mut (),
     )
     .expect("churn replays");
 }

@@ -30,6 +30,7 @@ fn disabled_telemetry_is_inert_across_an_instrumented_replay() {
             snapshot_interval: 0,
             margin_scan: false,
         },
+        &mut (),
     )
     .expect("churn replays");
 

@@ -1,11 +1,5 @@
 //! Property tests of the telemetry event journal: JSON round-trips are
 //! bit-identical and capacity pressure always evicts oldest-first.
-//!
-//! Payload fields ride through JSON as numbers, which the vendored
-//! serde renders exactly for integers below 2^53 — so generated
-//! payloads stay inside that range. The one deliberate exception is the
-//! checkpoint digest, which is serialized as a full-width hex string
-//! precisely because u64 digests exceed f64's exact-integer range.
 
 use gnr_flash::telemetry;
 use gnr_flash::telemetry::journal::{
@@ -13,12 +7,9 @@ use gnr_flash::telemetry::journal::{
 };
 use proptest::prelude::*;
 
-const F64_EXACT: u64 = (1 << 53) - 1;
-
 /// One of the fourteen event kinds, derived deterministically from a
 /// seed.
-fn event_for(selector: u64, payload: u64) -> EventKind {
-    let p = payload & F64_EXACT;
+fn event_for(selector: u64, p: u64) -> EventKind {
     match selector % 14 {
         0 => EventKind::Reclaim { block: p },
         1 => EventKind::GcErase {
@@ -31,8 +22,7 @@ fn event_for(selector: u64, payload: u64) -> EventKind {
             page: p % 4,
         },
         3 => EventKind::EpochJump { cycles: p },
-        // Full-width on purpose: digests round-trip through hex strings.
-        4 => EventKind::CheckpointRestore { digest: payload },
+        4 => EventKind::CheckpointRestore { digest: p },
         5 => EventKind::FlowMapEscape { queries: p },
         6 => EventKind::CycleMapFallback { probes: p },
         7 => EventKind::DecodeFailure { pages: p },
@@ -70,7 +60,7 @@ proptest! {
                     .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                     .wrapping_add(i as u64);
                 JournalEvent {
-                    op: s >> 11,
+                    op: s,
                     backend: match s % 3 {
                         0 => "gnr-floating-gate",
                         1 => "cnt-floating-gate",
@@ -88,8 +78,7 @@ proptest! {
         };
 
         let json = serde_json::to_string(&snapshot).expect("snapshot serializes");
-        let value = serde_json::from_str(&json).expect("snapshot JSON parses");
-        let decoded = JournalSnapshot::from_value(&value).expect("snapshot decodes");
+        let decoded: JournalSnapshot = serde_json::from_str(&json).expect("snapshot decodes");
         prop_assert_eq!(&decoded, &snapshot);
         let json_again = serde_json::to_string(&decoded).expect("decoded re-serializes");
         prop_assert_eq!(json, json_again);
