@@ -26,12 +26,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gnr_bench::{
     bench_config, bench_threads, cache_stats_json, telemetry_phase, telemetry_snapshot_json,
 };
+use gnr_flash::backend::CellBackend;
 use gnr_flash::device::FloatingGateTransistor;
 use gnr_flash::engine::{cycle_once, ChargeBalanceEngine};
-use gnr_flash_array::controller::FlashController;
+use gnr_flash_array::controller::{Checkpoint, FlashController};
 use gnr_flash_array::ispp::nominal_cycle_recipe;
 use gnr_flash_array::nand::NandConfig;
-use gnr_flash_array::workload::{CampaignCheckpoint, CampaignRunner, EnduranceCampaign};
+use gnr_flash_array::workload::{CampaignRunner, EnduranceCampaign};
 use gnr_reliability::ber::BerModel;
 use gnr_reliability::codec::EccConfig;
 use gnr_reliability::uber::ReliabilityObserver;
@@ -96,18 +97,16 @@ fn assert_resume_digest() -> String {
             .expect("prefix steps run")
             .expect("campaign not exhausted");
     }
-    let json = serde_json::to_string(&CampaignCheckpoint {
-        controller: controller.snapshot(),
-        state: runner.state(),
-    })
-    .expect("checkpoint serializes");
-    let decoded: CampaignCheckpoint = serde_json::from_str(&json).expect("checkpoint decodes");
-    let mut resumed = FlashController::restore(
-        FloatingGateTransistor::mlgnr_cnt_paper(),
-        decoded.controller,
-    )
-    .expect("controller restores");
-    let mut runner = CampaignRunner::resume(&campaign, decoded.state);
+    let mut checkpoint = controller.checkpoint();
+    checkpoint.campaign = Some(runner.state());
+    let json = serde_json::to_string(&checkpoint).expect("checkpoint serializes");
+    let decoded: Checkpoint = serde_json::from_str(&json).expect("checkpoint decodes");
+    let state = decoded
+        .campaign
+        .expect("checkpoint carries the campaign cursor");
+    let gnr = CellBackend::gnr(FloatingGateTransistor::mlgnr_cnt_paper());
+    let mut resumed = FlashController::restore(&gnr, decoded).expect("controller restores");
+    let mut runner = CampaignRunner::resume(&campaign, state);
     runner
         .run_to_end(&mut resumed, &mut ())
         .expect("resumed campaign runs");

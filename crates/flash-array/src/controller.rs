@@ -35,33 +35,37 @@
 //! pool is exhausted the controller degrades to **read-only**
 //! ([`ArrayError::ReadOnly`]): writes fail cleanly, reads keep working.
 //!
-//! # Crash consistency
+//! # Checkpoints and crash consistency
 //!
-//! [`FlashController::enable_crash_consistency`] journals the volatile
-//! FTL metadata as a periodic [`MetaCheckpoint`] plus a delta log
-//! ([`MetaDelta`]) of every mutation since. Power loss at any op
-//! boundary preserves exactly the array medium plus that checkpoint and
-//! log (a [`CrashImage`]); [`FlashController::recover`] /
-//! [`FlashController::recover_backend`] replay the deltas onto the
-//! checkpoint and yield a controller whose [`state_digest`] equals the
-//! uninterrupted run's at the cut — the equality the crash-recovery
-//! sweep pins at every op index.
+//! The FTL's metadata lives in one serializable [`FtlMeta`], so the
+//! live state is the persisted state. [`FlashController::checkpoint`]
+//! captures a [`Checkpoint`] — array medium plus metadata — and
+//! [`FlashController::restore`] is the one way back.
+//!
+//! [`FlashController::enable_crash_consistency`] journals the metadata
+//! as a periodic [`FtlMeta`] copy plus a delta log ([`MetaDelta`]) of
+//! every mutation since. A checkpoint of a journaled controller holds
+//! exactly what survives power loss at an op boundary: the medium, the
+//! journal's last metadata copy and the deltas since. Restore replays
+//! them and re-arms the journal, yielding a controller whose
+//! [`state_digest`] equals the uninterrupted run's at the cut — the
+//! equality the crash-recovery sweep pins at every op index.
 //!
 //! [`state_digest`]: FlashController::state_digest
 
 use std::collections::HashMap;
 
 use gnr_flash::backend::CellBackend;
-use gnr_flash::device::FloatingGateTransistor;
 use gnr_numerics::hash::fnv1a_fold_bytes;
 
 use crate::fault::FaultPlan;
 use crate::nand::{ArraySnapshot, NandArray, NandConfig};
 use crate::pe::scheduler::{CommandOutcome, PeCommand, PlaneScheduler};
+use crate::workload::CampaignState;
 use crate::{ArrayError, Result};
 
 /// Physical address of a page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct PageAddress {
     /// Block index.
     pub block: usize,
@@ -113,27 +117,48 @@ struct PendingProgram {
     cursor_assigned: bool,
 }
 
-/// The controller's complete volatile metadata at one instant: the
-/// logical map and page lifecycle columns (integer-encoded for the JSON
-/// shim: `map[lpn]` holds the live copy's flat physical page slot
-/// `block * pages_per_block + page` or `-1` for unmapped; `state[slot]`
-/// holds the live logical page number, `-1` for a free page, `-2` for a
-/// stale one), the allocation cursors, the wear-reason counters, the
-/// scheduler configuration and the fault-tolerance bookkeeping.
+/// Lifecycle of one physical page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub enum PageState {
+    /// Erased and writable.
+    Free,
+    /// Holds the current copy of a logical page.
+    Live {
+        /// The logical page.
+        lpn: usize,
+    },
+    /// Holds a superseded copy; reclaimed with its block.
+    Stale,
+}
+
+/// The byte encoding [`FlashController::state_digest`] folds: the live
+/// lpn, `-1` free, `-2` stale.
+#[allow(clippy::cast_possible_wrap)]
+fn state_code(s: PageState) -> i64 {
+    match s {
+        PageState::Free => -1,
+        PageState::Stale => -2,
+        PageState::Live { lpn } => lpn as i64,
+    }
+}
+
+/// The FTL's complete volatile metadata: the logical map and page
+/// lifecycle, the allocation cursors, the wear-reason counters, the
+/// scheduler's plane count and the fault-tolerance bookkeeping.
 ///
-/// This is both the metadata half of a [`ControllerSnapshot`] and the
-/// periodic checkpoint the crash-consistency journal replays
-/// [`MetaDelta`]s onto.
+/// The controller mutates this struct in place, so it is at once the
+/// live metadata, the metadata half of a [`Checkpoint`] and the periodic
+/// copy the crash-consistency journal replays [`MetaDelta`]s onto.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct MetaCheckpoint {
-    /// Logical page → flat physical slot of its live copy (`-1` = none).
-    pub map: Vec<i64>,
-    /// Per physical page: live lpn, `-1` free, `-2` stale.
-    pub state: Vec<i64>,
-    /// Rotating allocation scan start.
-    pub next_slot: u64,
-    /// Auto-assign logical-page cursor.
-    pub next_lpn: u64,
+pub struct FtlMeta {
+    /// Logical page → physical address of its live copy.
+    pub map: Vec<Option<PageAddress>>,
+    /// Per physical page (flat `block * pages_per_block + page`).
+    pub state: Vec<PageState>,
+    /// Rotating allocation scan start, for round-robin wear levelling.
+    pub next_slot: usize,
+    /// `write()` auto-assigns logical pages cycling through this range.
+    pub next_lpn: usize,
     /// Erases initiated to reclaim fully-stale blocks.
     pub reclaim_erases: u64,
     /// Erases initiated by garbage collection.
@@ -142,17 +167,49 @@ pub struct MetaCheckpoint {
     pub gc_relocations: u64,
     /// Plane count of the multi-plane scheduler (its entire round
     /// state: scheduling is stateless across rounds by design).
-    pub planes: u64,
-    /// Grown-bad table: `true` marks a retired block.
+    pub planes: usize,
+    /// Grown-bad table: `true` marks a retired block, excluded from
+    /// every allocator path.
     pub bad_blocks: Vec<bool>,
     /// Spare blocks provisioned for retirements.
-    pub spare_blocks: u64,
-    /// Whether the hardened fault-tolerant FTL is armed.
+    pub spare_blocks: usize,
+    /// Whether the hardened FTL (retire/retry/read-only) is armed.
     pub fault_tolerant: bool,
-    /// Whether the controller has degraded to read-only mode.
+    /// Set when the spare pool is exhausted: writes fail, reads work.
     pub read_only: bool,
     /// Page programs that reported a failed status.
     pub program_fails: u64,
+}
+
+impl FtlMeta {
+    /// Applies one mutation. Live mutations and journal replay both
+    /// run through here, so replay reproduces exactly what was logged.
+    fn apply(&mut self, delta: &MetaDelta) {
+        match *delta {
+            MetaDelta::MapSet { lpn, addr } => self.map[lpn] = addr,
+            MetaDelta::StateSet { slot, state } => self.state[slot] = state,
+            MetaDelta::NextSlot { value } => self.next_slot = value,
+            MetaDelta::NextLpn { value } => self.next_lpn = value,
+            MetaDelta::Counters {
+                reclaim_erases,
+                gc_erases,
+                gc_relocations,
+                program_fails,
+            } => {
+                self.reclaim_erases = reclaim_erases;
+                self.gc_erases = gc_erases;
+                self.gc_relocations = gc_relocations;
+                self.program_fails = program_fails;
+            }
+            MetaDelta::BlockRetired { block } => self.bad_blocks[block] = true,
+            MetaDelta::ReadOnly => self.read_only = true,
+            MetaDelta::MetaReset => {
+                self.map.fill(None);
+                self.state.fill(PageState::Free);
+                self.next_slot = 0;
+            }
+        }
+    }
 }
 
 /// One journaled metadata mutation. Every delta carries **absolute**
@@ -161,29 +218,29 @@ pub struct MetaCheckpoint {
 /// byte-exact.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum MetaDelta {
-    /// `map[lpn]` now points at flat `slot` (`-1` = unmapped).
+    /// `map[lpn]` now points at `addr`.
     MapSet {
         /// The logical page.
-        lpn: u64,
-        /// Flat physical slot of the live copy, `-1` for none.
-        slot: i64,
+        lpn: usize,
+        /// The live copy's address, `None` for unmapped.
+        addr: Option<PageAddress>,
     },
-    /// `state[slot]` now holds `code` (live lpn, `-1` free, `-2` stale).
+    /// `state[slot]` is now `state`.
     StateSet {
         /// The flat physical slot.
-        slot: u64,
-        /// The lifecycle code.
-        code: i64,
+        slot: usize,
+        /// The page's new lifecycle state.
+        state: PageState,
     },
     /// The rotating allocation cursor moved.
     NextSlot {
         /// Its new absolute value.
-        value: u64,
+        value: usize,
     },
     /// The auto-assign logical-page cursor moved.
     NextLpn {
         /// Its new absolute value.
-        value: u64,
+        value: usize,
     },
     /// Wear-reason and fault counters (absolute values).
     Counters {
@@ -199,7 +256,7 @@ pub enum MetaDelta {
     /// `block` entered the grown-bad table.
     BlockRetired {
         /// The retired block.
-        block: u64,
+        block: usize,
     },
     /// The controller degraded to read-only mode.
     ReadOnly,
@@ -208,60 +265,49 @@ pub enum MetaDelta {
     MetaReset,
 }
 
-/// Serializable full state of a [`FlashController`]: the wrapped
-/// array's snapshot plus the FTL metadata (see [`MetaCheckpoint`]).
+/// Serializable state of a [`FlashController`], captured by
+/// [`FlashController::checkpoint`] and rebuilt by
+/// [`FlashController::restore`]: the array medium, the FTL metadata,
+/// the crash-consistency journal when one is armed, and optionally the
+/// position of an endurance campaign driving the controller.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ControllerSnapshot {
-    /// The wrapped array's full state.
+pub struct Checkpoint {
+    /// The array medium (cells are non-volatile).
     pub array: ArraySnapshot,
-    /// The controller metadata.
-    pub meta: MetaCheckpoint,
-}
-
-/// Everything that survives a power cut: the array medium (cells are
-/// non-volatile), the last metadata checkpoint and the delta log
-/// journaled since it. [`FlashController::recover`] replays the log
-/// onto the checkpoint to rebuild the exact pre-crash controller.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct CrashImage {
-    /// The array medium at the instant of power loss.
-    pub array: ArraySnapshot,
-    /// The last metadata checkpoint.
-    pub checkpoint: MetaCheckpoint,
-    /// Metadata deltas journaled since the checkpoint, oldest first.
+    /// The metadata: the live copy, or the journal's last copy when
+    /// crash consistency is armed.
+    pub meta: FtlMeta,
+    /// Metadata deltas journaled since `meta`, oldest first.
     pub deltas: Vec<MetaDelta>,
-    /// The checkpoint cadence (ops between checkpoints), so recovery
-    /// re-arms the journal identically.
-    pub interval: u64,
+    /// The journal's checkpoint cadence (ops between metadata copies),
+    /// `None` when crash consistency is off. Restore re-arms the journal
+    /// at this cadence.
+    pub journal_interval: Option<u64>,
+    /// Where a [`crate::workload::CampaignRunner`] stood, for
+    /// [`crate::workload::CampaignRunner::resume`]. Set by the campaign
+    /// caller; [`FlashController::checkpoint`] leaves it `None`.
+    pub campaign: Option<CampaignState>,
 }
 
-/// The crash-consistency journal: the last checkpoint, the deltas since
-/// and the checkpoint cadence.
+/// The crash-consistency journal: the last metadata copy, the deltas
+/// since and the checkpoint cadence.
 #[derive(Debug, Clone)]
 struct MetaJournal {
     interval: u64,
     since_checkpoint: u64,
-    checkpoint: MetaCheckpoint,
+    checkpoint: FtlMeta,
     deltas: Vec<MetaDelta>,
 }
 
-/// Lifecycle of one physical page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PageState {
-    /// Erased and writable.
-    Free,
-    /// Holds the current copy of a logical page.
-    Live(usize),
-    /// Holds a superseded copy; reclaimed with its block.
-    Stale,
-}
-
-#[allow(clippy::cast_possible_wrap)]
-fn state_code(s: PageState) -> i64 {
-    match s {
-        PageState::Free => -1,
-        PageState::Stale => -2,
-        PageState::Live(lpn) => lpn as i64,
+/// `Err` unless `value < len`: the bound every index and cursor read
+/// from a checkpoint must meet.
+fn bounded(what: &str, value: usize, len: usize) -> Result<()> {
+    if value < len {
+        Ok(())
+    } else {
+        Err(ArrayError::Snapshot(format!(
+            "bad {what} {value} (must be < {len})"
+        )))
     }
 }
 
@@ -269,32 +315,10 @@ fn state_code(s: PageState) -> i64 {
 #[derive(Debug, Clone)]
 pub struct FlashController {
     array: NandArray,
-    /// Logical page → physical address of its live copy.
-    map: Vec<Option<PageAddress>>,
-    /// Per physical page (flat `block * pages_per_block + page`).
-    state: Vec<PageState>,
-    /// Rotating allocation scan start, for round-robin wear levelling.
-    next_slot: usize,
-    /// `write()` auto-assigns logical pages cycling through this range.
-    next_lpn: usize,
-    reclaim_erases: u64,
-    gc_erases: u64,
-    gc_relocations: u64,
-    /// The multi-plane scheduler behind the batched entry points.
-    scheduler: PlaneScheduler,
-    /// Whether the hardened FTL (retire/retry/read-only) is armed.
-    fault_tolerant: bool,
-    /// Grown-bad table: `true` marks a retired block, excluded from
-    /// every allocator path.
-    bad_blocks: Vec<bool>,
-    /// Spare blocks provisioned for retirements.
-    spare_blocks: usize,
-    /// Set when the spare pool is exhausted: writes fail, reads work.
-    read_only: bool,
-    /// Page programs that reported a failed status.
-    program_fails: u64,
+    /// The FTL metadata, live and persisted alike.
+    meta: FtlMeta,
     /// The crash-consistency journal, when enabled.
-    meta: Option<MetaJournal>,
+    journal: Option<MetaJournal>,
 }
 
 impl FlashController {
@@ -339,20 +363,22 @@ impl FlashController {
         let blocks = array.config().blocks;
         Self {
             array,
-            map: vec![None; pages],
-            state: vec![PageState::Free; pages],
-            next_slot: 0,
-            next_lpn: 0,
-            reclaim_erases: 0,
-            gc_erases: 0,
-            gc_relocations: 0,
-            scheduler: PlaneScheduler::default(),
-            fault_tolerant: false,
-            bad_blocks: vec![false; blocks],
-            spare_blocks: 0,
-            read_only: false,
-            program_fails: 0,
-            meta: None,
+            meta: FtlMeta {
+                map: vec![None; pages],
+                state: vec![PageState::Free; pages],
+                next_slot: 0,
+                next_lpn: 0,
+                reclaim_erases: 0,
+                gc_erases: 0,
+                gc_relocations: 0,
+                planes: PlaneScheduler::default().planes(),
+                bad_blocks: vec![false; blocks],
+                spare_blocks: 0,
+                fault_tolerant: false,
+                read_only: false,
+                program_fails: 0,
+            },
+            journal: None,
         }
     }
 
@@ -367,7 +393,8 @@ impl FlashController {
     /// Panics when `planes` is zero.
     #[must_use]
     pub fn with_planes(mut self, planes: usize) -> Self {
-        self.scheduler = PlaneScheduler::new(planes);
+        self.meta.planes = PlaneScheduler::new(planes).planes();
+        self.cut_checkpoint();
         self
     }
 
@@ -390,23 +417,24 @@ impl FlashController {
             "spare pool too large: need >= 2 non-spare blocks"
         );
         assert!(
-            self.state.iter().all(|s| *s == PageState::Free),
+            self.meta.state.iter().all(|s| *s == PageState::Free),
             "enable fault tolerance before writing"
         );
-        self.fault_tolerant = true;
-        self.spare_blocks = spare_blocks;
+        self.meta.fault_tolerant = true;
+        self.meta.spare_blocks = spare_blocks;
+        self.cut_checkpoint();
         self
     }
 
     /// Arms crash-consistent metadata: takes a checkpoint now and
     /// journals every subsequent metadata mutation, re-checkpointing
     /// every `interval` controller ops (clamped to at least 1). See
-    /// [`Self::crash_image`].
+    /// [`Self::checkpoint`].
     pub fn enable_crash_consistency(&mut self, interval: u64) {
-        self.meta = Some(MetaJournal {
+        self.journal = Some(MetaJournal {
             interval: interval.max(1),
             since_checkpoint: 0,
-            checkpoint: self.meta_checkpoint(),
+            checkpoint: self.meta.clone(),
             deltas: Vec::new(),
         });
     }
@@ -440,56 +468,56 @@ impl FlashController {
     /// Whether the hardened fault-tolerant FTL is armed.
     #[must_use]
     pub fn fault_tolerant(&self) -> bool {
-        self.fault_tolerant
+        self.meta.fault_tolerant
     }
 
     /// Whether the controller has degraded to read-only mode.
     #[must_use]
     pub fn read_only(&self) -> bool {
-        self.read_only
+        self.meta.read_only
     }
 
     /// Spare blocks provisioned for retirements.
     #[must_use]
     pub fn spare_blocks(&self) -> usize {
-        self.spare_blocks
+        self.meta.spare_blocks
     }
 
     /// Blocks retired into the grown-bad table so far.
     #[must_use]
     pub fn retired_blocks(&self) -> usize {
-        self.bad_blocks.iter().filter(|&&b| b).count()
+        self.meta.bad_blocks.iter().filter(|&&b| b).count()
     }
 
     /// Whether `block` is in the grown-bad table.
     #[must_use]
     pub fn is_block_retired(&self, block: usize) -> bool {
-        self.bad_blocks.get(block).copied().unwrap_or(false)
+        self.meta.bad_blocks.get(block).copied().unwrap_or(false)
     }
 
     /// Page programs that reported a failed status so far.
     #[must_use]
     pub fn program_fail_count(&self) -> u64 {
-        self.program_fails
+        self.meta.program_fails
     }
 
     /// Whether crash-consistent metadata journaling is enabled.
     #[must_use]
     pub fn crash_consistent(&self) -> bool {
-        self.meta.is_some()
+        self.journal.is_some()
     }
 
     /// Metadata deltas journaled since the last checkpoint (0 when
     /// crash consistency is disabled).
     #[must_use]
     pub fn pending_deltas(&self) -> usize {
-        self.meta.as_ref().map_or(0, |j| j.deltas.len())
+        self.journal.as_ref().map_or(0, |j| j.deltas.len())
     }
 
     /// The multi-plane scheduler configuration.
     #[must_use]
-    pub fn scheduler(&self) -> &PlaneScheduler {
-        &self.scheduler
+    pub fn scheduler(&self) -> PlaneScheduler {
+        PlaneScheduler::new(self.meta.planes)
     }
 
     /// The underlying array (for analyses).
@@ -519,7 +547,7 @@ impl FlashController {
     #[must_use]
     pub fn logical_capacity(&self) -> usize {
         self.array.config().logical_pages()
-            - self.spare_blocks * self.array.config().pages_per_block
+            - self.meta.spare_blocks * self.array.config().pages_per_block
     }
 
     /// Writes `bits` to the next logical page (cycling through
@@ -534,8 +562,8 @@ impl FlashController {
     /// [`ArrayError::ReadOnly`] after spare exhaustion, and device
     /// errors propagate.
     pub fn write(&mut self, bits: &[bool]) -> Result<PageAddress> {
-        let addr = self.write_logical_core(self.next_lpn, bits)?;
-        self.set_next_lpn((self.next_lpn + 1) % self.logical_capacity());
+        let addr = self.write_logical_core(self.meta.next_lpn, bits)?;
+        self.set_next_lpn((self.meta.next_lpn + 1) % self.logical_capacity());
         self.note_op();
         Ok(addr)
     }
@@ -594,7 +622,7 @@ impl FlashController {
             match self.array.program_page(addr.block, addr.page, bits) {
                 Ok(()) => return Ok(addr),
                 Err(e @ (ArrayError::VerifyFailed { .. } | ArrayError::ProgramFailed { .. }))
-                    if self.fault_tolerant =>
+                    if self.meta.fault_tolerant =>
                 {
                     // Pulses were applied: the page is consumed but holds
                     // no live data. Retire the whole block — a page that
@@ -622,13 +650,13 @@ impl FlashController {
     /// Marks `addr` as the live copy of `lpn`, staling the previous
     /// copy.
     fn commit_live(&mut self, lpn: usize, addr: PageAddress) {
-        if let Some(old) = self.map[lpn] {
+        if let Some(old) = self.meta.map[lpn] {
             let slot = self.slot(old);
             self.set_state(slot, PageState::Stale);
         }
         self.set_map(lpn, Some(addr));
         let slot = self.slot(addr);
-        self.set_state(slot, PageState::Live(lpn));
+        self.set_state(slot, PageState::Live { lpn });
     }
 
     /// Writes a batch of pages through the multi-plane scheduler: the
@@ -664,10 +692,10 @@ impl FlashController {
         let mut out: Vec<Option<Result<PageAddress>>> = jobs.iter().map(|_| None).collect();
         let mut pending: Vec<PendingProgram> = Vec::new();
         // Cursor-assigned jobs plan against a *provisional* cursor;
-        // `self.next_lpn` commits per job as its program verifies (in
-        // flush), so a verify failure leaves the cursor on the failed
-        // logical page — `write`'s retry-the-same-page contract.
-        let mut cursor = self.next_lpn;
+        // `next_lpn` commits per job as its program verifies (in flush),
+        // so a verify failure leaves the cursor on the failed logical
+        // page — `write`'s retry-the-same-page contract.
+        let mut cursor = self.meta.next_lpn;
         let mut fatal: Option<ArrayError> = None;
         for (job, (lpn, bits)) in jobs.into_iter().enumerate() {
             if bits.len() != cfg.page_width {
@@ -716,14 +744,14 @@ impl FlashController {
             // superseded copy is remembered so a verify failure can
             // restore it — it stays physically intact until the next
             // flush boundary.
-            let prev = self.map[lpn];
+            let prev = self.meta.map[lpn];
             if let Some(old) = prev {
                 let slot = self.slot(old);
                 self.set_state(slot, PageState::Stale);
             }
             self.set_map(lpn, Some(addr));
             let slot = self.slot(addr);
-            self.set_state(slot, PageState::Live(lpn));
+            self.set_state(slot, PageState::Live { lpn });
             pending.push(PendingProgram {
                 job,
                 lpn,
@@ -769,7 +797,7 @@ impl FlashController {
         if pending.is_empty() {
             return;
         }
-        let keep_bits = self.fault_tolerant;
+        let keep_bits = self.meta.fault_tolerant;
         let mut commands = Vec::with_capacity(pending.len());
         let mut planned = Vec::with_capacity(pending.len());
         for p in pending.drain(..) {
@@ -781,7 +809,7 @@ impl FlashController {
             });
             planned.push((p.job, p.lpn, p.prev, p.addr, p.cursor_assigned, kept));
         }
-        let execution = self.scheduler.execute(&mut self.array, commands);
+        let execution = self.scheduler().execute(&mut self.array, commands);
         let mut last_good: HashMap<usize, Option<PageAddress>> = HashMap::new();
         let mut failed: Vec<usize> = Vec::new();
         for (k, (result, &(job, lpn, prev, addr, _, _))) in
@@ -799,11 +827,11 @@ impl FlashController {
                     // the newest verified copy of this logical page.
                     let slot = self.slot(addr);
                     self.set_state(slot, PageState::Stale);
-                    if self.map[lpn] == Some(addr) {
+                    if self.meta.map[lpn] == Some(addr) {
                         self.set_map(lpn, *good);
                         if let Some(g) = *good {
                             let slot = self.slot(g);
-                            self.set_state(slot, PageState::Live(lpn));
+                            self.set_state(slot, PageState::Live { lpn });
                         }
                     }
                     out[job] = Some(Err(e.clone()));
@@ -811,7 +839,7 @@ impl FlashController {
                 }
             }
         }
-        if self.fault_tolerant && !failed.is_empty() {
+        if self.meta.fault_tolerant && !failed.is_empty() {
             // The newest planned job per lpn: a retried older job must
             // never resurrect content a later same-batch job superseded.
             let mut newest: HashMap<usize, usize> = HashMap::new();
@@ -880,7 +908,7 @@ impl FlashController {
         let mut commands = Vec::new();
         let mut scheduled: Vec<usize> = Vec::new();
         for (j, &lpn) in lpns.iter().enumerate() {
-            match self.map.get(lpn).copied().flatten() {
+            match self.physical_of(lpn) {
                 Some(addr) => {
                     commands.push(PeCommand::Read {
                         block: addr.block,
@@ -896,7 +924,7 @@ impl FlashController {
                 }))),
             }
         }
-        let execution = self.scheduler.execute(&mut self.array, commands);
+        let execution = self.scheduler().execute(&mut self.array, commands);
         for (result, &j) in execution.results.into_iter().zip(&scheduled) {
             results[j] = Some(result.map(|outcome| match outcome {
                 CommandOutcome::Read(bits) => bits,
@@ -925,16 +953,11 @@ impl FlashController {
     /// [`ArrayError::AddressOutOfRange`] when `lpn` has never been
     /// written (or is beyond capacity).
     pub fn read_logical(&mut self, lpn: usize) -> Result<Vec<bool>> {
-        let addr = self
-            .map
-            .get(lpn)
-            .copied()
-            .flatten()
-            .ok_or(ArrayError::AddressOutOfRange {
-                kind: "logical page",
-                index: lpn,
-                len: self.logical_capacity(),
-            })?;
+        let addr = self.physical_of(lpn).ok_or(ArrayError::AddressOutOfRange {
+            kind: "logical page",
+            index: lpn,
+            len: self.logical_capacity(),
+        })?;
         self.read(addr)
     }
 
@@ -950,7 +973,7 @@ impl FlashController {
     /// Address and device errors propagate; [`ArrayError::ReadOnly`]
     /// when the controller has degraded to read-only.
     pub fn erase_block(&mut self, block: usize) -> Result<()> {
-        if self.read_only {
+        if self.meta.read_only {
             return Err(ArrayError::ReadOnly);
         }
         let cfg = self.array.config();
@@ -958,19 +981,19 @@ impl FlashController {
             Ok(()) => {
                 for page in 0..cfg.pages_per_block {
                     let slot = block * cfg.pages_per_block + page;
-                    if let PageState::Live(lpn) = self.state[slot] {
+                    if let PageState::Live { lpn } = self.meta.state[slot] {
                         self.set_map(lpn, None);
                     }
                     self.set_state(slot, PageState::Free);
                 }
             }
-            Err(ArrayError::BlockRetired { .. }) if self.fault_tolerant => {
+            Err(ArrayError::BlockRetired { .. }) if self.meta.fault_tolerant => {
                 // The medium refused the erase. The caller asked for the
                 // data to go away, so clear the mappings, then retire
                 // the grown-bad block (parking its slots stale).
                 for page in 0..cfg.pages_per_block {
                     let slot = block * cfg.pages_per_block + page;
-                    if let PageState::Live(lpn) = self.state[slot] {
+                    if let PageState::Live { lpn } = self.meta.state[slot] {
                         self.set_map(lpn, None);
                     }
                     self.set_state(slot, PageState::Stale);
@@ -1005,25 +1028,28 @@ impl FlashController {
                 len: cfg.blocks,
             });
         }
-        if self.bad_blocks[block] {
+        if self.meta.bad_blocks[block] {
             return Ok(0);
         }
-        if self.retired_blocks() >= self.spare_blocks {
-            self.enter_read_only();
+        if self.retired_blocks() >= self.meta.spare_blocks {
+            if !self.meta.read_only {
+                gnr_telemetry::counter_add!("ftl.read_only_entries", 1);
+                self.mutate(MetaDelta::ReadOnly);
+            }
             return Err(ArrayError::ReadOnly);
         }
-        self.mark_retired(block);
+        self.mutate(MetaDelta::BlockRetired { block });
         let first = block * cfg.pages_per_block;
         // Park the free slots first so no relocation below can allocate
         // into the dying block.
         for page in 0..cfg.pages_per_block {
-            if self.state[first + page] == PageState::Free {
+            if self.meta.state[first + page] == PageState::Free {
                 self.set_state(first + page, PageState::Stale);
             }
         }
         let mut relocated = 0usize;
         for page in 0..cfg.pages_per_block {
-            if let PageState::Live(lpn) = self.state[first + page] {
+            if let PageState::Live { lpn } = self.meta.state[first + page] {
                 // Grown-bad blocks refuse erase, not read: the live copy
                 // is intact and movable.
                 let bits = self.array.read_page(block, page)?;
@@ -1060,9 +1086,9 @@ impl FlashController {
             min_erases: min,
             max_erases: max,
             total_erases: total,
-            reclaim_erases: self.reclaim_erases,
-            gc_erases: self.gc_erases,
-            gc_relocations: self.gc_relocations,
+            reclaim_erases: self.meta.reclaim_erases,
+            gc_erases: self.meta.gc_erases,
+            gc_relocations: self.meta.gc_relocations,
         })
     }
 
@@ -1089,10 +1115,10 @@ impl FlashController {
         gnr_telemetry::counter_add!("ftl.epoch_jumps", 1);
         gnr_telemetry::journal::record(gnr_telemetry::journal::EventKind::EpochJump { cycles });
         let report = self.array.run_epoch(recipe, cycles)?;
-        self.meta_reset();
+        self.mutate(MetaDelta::MetaReset);
         let cfg = self.array.config();
         for block in 0..cfg.blocks {
-            if self.bad_blocks[block] {
+            if self.meta.bad_blocks[block] {
                 let first = block * cfg.pages_per_block;
                 for slot in first..first + cfg.pages_per_block {
                     self.set_state(slot, PageState::Stale);
@@ -1103,311 +1129,168 @@ impl FlashController {
         Ok(report)
     }
 
-    /// Captures the controller's full serializable state: array state
-    /// plus the FTL metadata (see [`ControllerSnapshot`]).
+    /// Captures the controller's serializable state (see [`Checkpoint`]).
+    /// With crash consistency armed this is exactly what survives power
+    /// loss: the array medium, the journal's last metadata copy, the
+    /// deltas journaled since and the journal cadence. Otherwise it is
+    /// the medium plus the current metadata, with no deltas.
     ///
-    /// Snapshots are only taken *between* operations, so there is no
+    /// Checkpoints are only taken *between* operations, so there is no
     /// pending-program state to capture — batched writes flush inside
     /// one [`Self::write_batch`] call.
     #[must_use]
-    pub fn snapshot(&self) -> ControllerSnapshot {
-        ControllerSnapshot {
+    pub fn checkpoint(&self) -> Checkpoint {
+        let (meta, deltas, journal_interval) = match &self.journal {
+            Some(journal) => (
+                journal.checkpoint.clone(),
+                journal.deltas.clone(),
+                Some(journal.interval),
+            ),
+            None => (self.meta.clone(), Vec::new(), None),
+        };
+        Checkpoint {
             array: self.array.snapshot_state(),
-            meta: self.meta_checkpoint(),
+            meta,
+            deltas,
+            journal_interval,
+            campaign: None,
         }
     }
 
-    /// Encodes the current metadata as a checkpoint.
-    #[must_use]
-    #[allow(clippy::cast_possible_wrap)]
-    fn meta_checkpoint(&self) -> MetaCheckpoint {
-        let ppb = self.array.config().pages_per_block;
-        MetaCheckpoint {
-            map: self
-                .map
-                .iter()
-                .map(|addr| addr.map_or(-1, |a| (a.block * ppb + a.page) as i64))
-                .collect(),
-            state: self.state.iter().map(|&s| state_code(s)).collect(),
-            next_slot: self.next_slot as u64,
-            next_lpn: self.next_lpn as u64,
-            reclaim_erases: self.reclaim_erases,
-            gc_erases: self.gc_erases,
-            gc_relocations: self.gc_relocations,
-            planes: self.scheduler.planes() as u64,
-            bad_blocks: self.bad_blocks.clone(),
-            spare_blocks: self.spare_blocks as u64,
-            fault_tolerant: self.fault_tolerant,
-            read_only: self.read_only,
-            program_fails: self.program_fails,
+    /// Rebuilds a controller from a device backend and a checkpoint —
+    /// the inverse of [`Self::checkpoint`]: restores the array medium,
+    /// validates the metadata against its shape, replays the journaled
+    /// deltas and, when the checkpoint carries a journal cadence,
+    /// re-arms crash consistency at it. The result is digest-identical
+    /// ([`Self::state_digest`]) to the checkpointed controller (at the
+    /// power cut, for a journaled one) and continues any workload
+    /// bit-identically. The campaign cursor is the caller's to resume.
+    ///
+    /// # Errors
+    ///
+    /// [`ArrayError::Snapshot`] on shape mismatches and out-of-range
+    /// addresses, lpns, cursors, spare pools or plane counts, in the
+    /// metadata or in a delta; array restore errors propagate
+    /// ([`ArrayError::UnsupportedBackend`] when a PCM backend is given a
+    /// medium carrying floating-gate variation deltas).
+    pub fn restore(backend: &CellBackend, checkpoint: Checkpoint) -> Result<Self> {
+        let mut controller = Self {
+            array: NandArray::restore_state_backend(backend, checkpoint.array)?,
+            meta: checkpoint.meta,
+            journal: None,
+        };
+        controller.validate_meta()?;
+        for delta in &checkpoint.deltas {
+            controller.replay(delta)?;
         }
-    }
-
-    /// Captures everything that survives a power cut: the array medium
-    /// plus the last metadata checkpoint and the deltas journaled since
-    /// it. See [`CrashImage`].
-    ///
-    /// # Errors
-    ///
-    /// [`ArrayError::Snapshot`] when crash consistency was never
-    /// enabled ([`Self::enable_crash_consistency`]).
-    pub fn crash_image(&self) -> Result<CrashImage> {
-        let journal = self.meta.as_ref().ok_or_else(|| {
-            ArrayError::Snapshot("crash consistency is not enabled on this controller".into())
-        })?;
-        Ok(CrashImage {
-            array: self.array.snapshot_state(),
-            checkpoint: journal.checkpoint.clone(),
-            deltas: journal.deltas.clone(),
-            interval: journal.interval,
-        })
-    }
-
-    /// Rebuilds a controller from a device blueprint and a snapshot —
-    /// the inverse of [`Self::snapshot`]. The restored controller is
-    /// digest-identical ([`Self::state_digest`]) to the snapshotted one
-    /// and continues any workload bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// [`ArrayError::Snapshot`] on shape mismatches or out-of-range
-    /// encodings; array restore errors propagate.
-    pub fn restore(
-        blueprint: FloatingGateTransistor,
-        snapshot: ControllerSnapshot,
-    ) -> Result<Self> {
-        let array = NandArray::restore_state(blueprint, snapshot.array)?;
-        Self::finish_restore(array, &snapshot.meta)
-    }
-
-    /// Rebuilds a controller from a device backend and a snapshot — the
-    /// backend-polymorphic sibling of [`Self::restore`]. GNR restores
-    /// through this path are digest-identical to [`Self::restore`] over
-    /// the same blueprint.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::restore`]; additionally
-    /// [`ArrayError::UnsupportedBackend`] when a PCM backend is given a
-    /// snapshot carrying floating-gate variation deltas.
-    pub fn restore_backend(backend: &CellBackend, snapshot: ControllerSnapshot) -> Result<Self> {
-        let array = NandArray::restore_state_backend(backend, snapshot.array)?;
-        Self::finish_restore(array, &snapshot.meta)
-    }
-
-    fn finish_restore(array: NandArray, meta: &MetaCheckpoint) -> Result<Self> {
-        let controller = Self::from_parts(array, meta)?;
-        // The digest is a full-state fold — only pay for it when the
-        // journal will actually keep the event.
-        if gnr_telemetry::enabled() {
-            gnr_telemetry::journal::record(gnr_telemetry::journal::EventKind::CheckpointRestore {
-                digest: controller.state_digest(),
-            });
+        match checkpoint.journal_interval {
+            Some(interval) => {
+                controller.enable_crash_consistency(interval);
+                gnr_telemetry::counter_add!("ftl.recoveries", 1);
+                gnr_telemetry::journal::record(gnr_telemetry::journal::EventKind::RecoveryReplay {
+                    deltas: checkpoint.deltas.len() as u64,
+                });
+            }
+            // The digest is a full-state fold — only pay for it when the
+            // journal will actually keep the event.
+            None if gnr_telemetry::enabled() => {
+                gnr_telemetry::journal::record(
+                    gnr_telemetry::journal::EventKind::CheckpointRestore {
+                        digest: controller.state_digest(),
+                    },
+                );
+            }
+            None => {}
         }
         Ok(controller)
     }
 
-    /// Recovers a controller from a power-loss [`CrashImage`]: restores
-    /// the array medium, applies the metadata checkpoint, replays the
-    /// journaled deltas, and re-arms a fresh journal at the same
-    /// cadence. The recovered controller is digest-identical to the one
-    /// that lost power.
-    ///
-    /// # Errors
-    ///
-    /// [`ArrayError::Snapshot`] on shape mismatches or out-of-range
-    /// encodings; array restore errors propagate.
-    pub fn recover(blueprint: FloatingGateTransistor, image: &CrashImage) -> Result<Self> {
-        let array = NandArray::restore_state(blueprint, image.array.clone())?;
-        Self::finish_recover(array, image)
-    }
-
-    /// Backend-polymorphic sibling of [`Self::recover`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::recover`]; additionally
-    /// [`ArrayError::UnsupportedBackend`] when a PCM backend is given an
-    /// image carrying floating-gate variation deltas.
-    pub fn recover_backend(backend: &CellBackend, image: &CrashImage) -> Result<Self> {
-        let array = NandArray::restore_state_backend(backend, image.array.clone())?;
-        Self::finish_recover(array, image)
-    }
-
-    fn finish_recover(array: NandArray, image: &CrashImage) -> Result<Self> {
-        let mut controller = Self::from_parts(array, &image.checkpoint)?;
-        for delta in &image.deltas {
-            controller.apply_delta(delta)?;
-        }
-        controller.meta = Some(MetaJournal {
-            interval: image.interval.max(1),
-            since_checkpoint: 0,
-            checkpoint: controller.meta_checkpoint(),
-            deltas: Vec::new(),
-        });
-        gnr_telemetry::counter_add!("ftl.recoveries", 1);
-        gnr_telemetry::journal::record(gnr_telemetry::journal::EventKind::RecoveryReplay {
-            deltas: image.deltas.len() as u64,
-        });
-        Ok(controller)
-    }
-
-    fn from_parts(array: NandArray, meta: &MetaCheckpoint) -> Result<Self> {
-        let config = array.config();
+    /// Rejects restored metadata that no controller over this array can
+    /// reach.
+    fn validate_meta(&self) -> Result<()> {
+        let config = self.array.config();
+        let meta = &self.meta;
         if config.blocks < 2 {
             return Err(ArrayError::Snapshot(
-                "controller snapshots need >= 2 blocks".into(),
+                "controller checkpoints need >= 2 blocks".into(),
             ));
         }
-        let pages = config.pages();
-        let spare_blocks = usize::try_from(meta.spare_blocks)
-            .ok()
-            .filter(|&s| s + 2 <= config.blocks)
-            .ok_or_else(|| ArrayError::Snapshot(format!("bad spare pool {}", meta.spare_blocks)))?;
-        let logical = config.logical_pages() - spare_blocks * config.pages_per_block;
-        if meta.map.len() != pages {
+        if meta.spare_blocks > config.blocks - 2 {
             return Err(ArrayError::Snapshot(format!(
-                "map has {} entries, shape wants {pages}",
-                meta.map.len()
+                "bad spare pool {}",
+                meta.spare_blocks
             )));
         }
-        if meta.state.len() != pages {
-            return Err(ArrayError::Snapshot(format!(
-                "state has {} entries, shape wants {pages}",
-                meta.state.len()
-            )));
+        let (pages, logical) = (config.pages(), self.logical_capacity());
+        for (name, len, want) in [
+            ("map", meta.map.len(), pages),
+            ("state", meta.state.len(), pages),
+            ("bad-block table", meta.bad_blocks.len(), config.blocks),
+        ] {
+            if len != want {
+                return Err(ArrayError::Snapshot(format!(
+                    "{name} has {len} entries, shape wants {want}"
+                )));
+            }
         }
-        if meta.bad_blocks.len() != config.blocks {
-            return Err(ArrayError::Snapshot(format!(
-                "bad-block table has {} entries, shape wants {}",
-                meta.bad_blocks.len(),
-                config.blocks
-            )));
+        for (lpn, &addr) in meta.map.iter().enumerate() {
+            if addr.is_some() {
+                bounded("mapped lpn", lpn, logical)?;
+            }
+            self.check_addr(addr)?;
         }
-        let ppb = config.pages_per_block;
-        let map = meta
-            .map
-            .iter()
-            .map(|&slot| match slot {
-                -1 => Ok(None),
-                s if s >= 0 && (s as usize) < pages => Ok(Some(PageAddress {
-                    block: s as usize / ppb,
-                    page: s as usize % ppb,
-                })),
-                s => Err(ArrayError::Snapshot(format!("bad map slot {s}"))),
-            })
-            .collect::<Result<Vec<Option<PageAddress>>>>()?;
-        let state = meta
-            .state
-            .iter()
-            .map(|&s| match s {
-                -1 => Ok(PageState::Free),
-                -2 => Ok(PageState::Stale),
-                lpn if lpn >= 0 && (lpn as usize) < logical => Ok(PageState::Live(lpn as usize)),
-                bad => Err(ArrayError::Snapshot(format!("bad page state {bad}"))),
-            })
-            .collect::<Result<Vec<PageState>>>()?;
-        let cursor = |name: &str, v: u64, len: usize| -> Result<usize> {
-            usize::try_from(v)
-                .ok()
-                .filter(|&c| c <= len)
-                .ok_or_else(|| ArrayError::Snapshot(format!("bad cursor `{name}` = {v}")))
-        };
-        let planes = usize::try_from(meta.planes)
-            .ok()
-            .filter(|&p| p > 0)
-            .ok_or_else(|| ArrayError::Snapshot(format!("bad plane count {}", meta.planes)))?;
-        Ok(Self {
-            array,
-            map,
-            state,
-            next_slot: cursor("next_slot", meta.next_slot, pages)?,
-            next_lpn: cursor("next_lpn", meta.next_lpn, logical)?,
-            reclaim_erases: meta.reclaim_erases,
-            gc_erases: meta.gc_erases,
-            gc_relocations: meta.gc_relocations,
-            scheduler: PlaneScheduler::new(planes),
-            fault_tolerant: meta.fault_tolerant,
-            bad_blocks: meta.bad_blocks.clone(),
-            spare_blocks,
-            read_only: meta.read_only,
-            program_fails: meta.program_fails,
-            meta: None,
-        })
+        for &state in &meta.state {
+            self.check_state(state)?;
+        }
+        bounded("cursor `next_slot`", meta.next_slot, pages)?;
+        bounded("cursor `next_lpn`", meta.next_lpn, logical)?;
+        if meta.planes == 0 {
+            return Err(ArrayError::Snapshot("bad plane count 0".into()));
+        }
+        Ok(())
     }
 
-    /// Replays one journaled delta onto the live metadata. Used only
-    /// during recovery (the journal is not armed yet, so nothing is
-    /// re-journaled).
-    fn apply_delta(&mut self, delta: &MetaDelta) -> Result<()> {
-        let cfg = self.array.config();
-        let pages = cfg.pages();
-        let logical = self.logical_capacity();
-        let bad = |what: &str, v: i64| ArrayError::Snapshot(format!("bad delta {what} {v}"));
+    fn check_addr(&self, addr: Option<PageAddress>) -> Result<()> {
+        let config = self.array.config();
+        match addr {
+            Some(a) if a.block >= config.blocks || a.page >= config.pages_per_block => {
+                Err(ArrayError::Snapshot(format!("bad page address {a:?}")))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    fn check_state(&self, state: PageState) -> Result<()> {
+        match state {
+            PageState::Live { lpn } => bounded("live lpn", lpn, self.logical_capacity()),
+            PageState::Free | PageState::Stale => Ok(()),
+        }
+    }
+
+    /// Replays one journaled delta onto the restored metadata after the
+    /// bound checks the checkpoint's own columns pass. Runs before the
+    /// journal is re-armed, so nothing is re-journaled.
+    fn replay(&mut self, delta: &MetaDelta) -> Result<()> {
+        let pages = self.array.config().pages();
         match *delta {
-            MetaDelta::MapSet { lpn, slot } => {
-                let lpn = usize::try_from(lpn)
-                    .ok()
-                    .filter(|&l| l < logical)
-                    .ok_or_else(|| ArrayError::Snapshot(format!("bad delta lpn {lpn}")))?;
-                self.map[lpn] = match slot {
-                    -1 => None,
-                    s if s >= 0 && (s as usize) < pages => Some(PageAddress {
-                        block: s as usize / cfg.pages_per_block,
-                        page: s as usize % cfg.pages_per_block,
-                    }),
-                    s => return Err(bad("map slot", s)),
-                };
+            MetaDelta::MapSet { lpn, addr } => {
+                bounded("delta lpn", lpn, self.logical_capacity())?;
+                self.check_addr(addr)?;
             }
-            MetaDelta::StateSet { slot, code } => {
-                let slot = usize::try_from(slot)
-                    .ok()
-                    .filter(|&s| s < pages)
-                    .ok_or_else(|| ArrayError::Snapshot(format!("bad delta slot {slot}")))?;
-                self.state[slot] = match code {
-                    -1 => PageState::Free,
-                    -2 => PageState::Stale,
-                    lpn if lpn >= 0 && (lpn as usize) < logical => PageState::Live(lpn as usize),
-                    c => return Err(bad("state code", c)),
-                };
+            MetaDelta::StateSet { slot, state } => {
+                bounded("delta slot", slot, pages)?;
+                self.check_state(state)?;
             }
-            MetaDelta::NextSlot { value } => {
-                self.next_slot = usize::try_from(value)
-                    .ok()
-                    .filter(|&c| c <= pages)
-                    .ok_or_else(|| ArrayError::Snapshot(format!("bad delta cursor {value}")))?;
-            }
+            MetaDelta::NextSlot { value } => bounded("delta cursor `next_slot`", value, pages)?,
             MetaDelta::NextLpn { value } => {
-                self.next_lpn = usize::try_from(value)
-                    .ok()
-                    .filter(|&c| c <= logical)
-                    .ok_or_else(|| ArrayError::Snapshot(format!("bad delta cursor {value}")))?;
-            }
-            MetaDelta::Counters {
-                reclaim_erases,
-                gc_erases,
-                gc_relocations,
-                program_fails,
-            } => {
-                self.reclaim_erases = reclaim_erases;
-                self.gc_erases = gc_erases;
-                self.gc_relocations = gc_relocations;
-                self.program_fails = program_fails;
+                bounded("delta cursor `next_lpn`", value, self.logical_capacity())?;
             }
             MetaDelta::BlockRetired { block } => {
-                let block = usize::try_from(block)
-                    .ok()
-                    .filter(|&b| b < cfg.blocks)
-                    .ok_or_else(|| ArrayError::Snapshot(format!("bad delta block {block}")))?;
-                self.bad_blocks[block] = true;
+                bounded("delta block", block, self.array.config().blocks)?;
             }
-            MetaDelta::ReadOnly => self.read_only = true,
-            MetaDelta::MetaReset => {
-                self.map.fill(None);
-                self.state.fill(PageState::Free);
-                self.next_slot = 0;
-            }
+            MetaDelta::Counters { .. } | MetaDelta::ReadOnly | MetaDelta::MetaReset => {}
         }
+        self.meta.apply(delta);
         Ok(())
     }
 
@@ -1426,29 +1309,30 @@ impl FlashController {
     pub fn state_digest(&self) -> u64 {
         let mut h = self.array.state_digest();
         let ppb = self.array.config().pages_per_block;
-        for addr in &self.map {
+        let meta = &self.meta;
+        for addr in &meta.map {
             let slot: i64 = addr.map_or(-1, |a| (a.block * ppb + a.page) as i64);
             h = fnv1a_fold_bytes(h, &slot.to_le_bytes());
         }
-        for &s in &self.state {
+        for &s in &meta.state {
             h = fnv1a_fold_bytes(h, &state_code(s).to_le_bytes());
         }
         for v in [
-            self.next_slot as u64,
-            self.next_lpn as u64,
-            self.reclaim_erases,
-            self.gc_erases,
-            self.gc_relocations,
-            self.program_fails,
-            self.spare_blocks as u64,
+            meta.next_slot as u64,
+            meta.next_lpn as u64,
+            meta.reclaim_erases,
+            meta.gc_erases,
+            meta.gc_relocations,
+            meta.program_fails,
+            meta.spare_blocks as u64,
         ] {
             h = fnv1a_fold_bytes(h, &v.to_le_bytes());
         }
         h = fnv1a_fold_bytes(
             h,
-            &[u8::from(self.fault_tolerant), u8::from(self.read_only)],
+            &[u8::from(meta.fault_tolerant), u8::from(meta.read_only)],
         );
-        for &b in &self.bad_blocks {
+        for &b in &meta.bad_blocks {
             h = fnv1a_fold_bytes(h, &[u8::from(b)]);
         }
         h
@@ -1457,14 +1341,15 @@ impl FlashController {
     /// The physical address of logical page `lpn`'s live copy, if any.
     #[must_use]
     pub fn physical_of(&self, lpn: usize) -> Option<PageAddress> {
-        self.map.get(lpn).copied().flatten()
+        self.meta.map.get(lpn).copied().flatten()
     }
 
     /// Every logical page with a live copy, ascending — the scan order
     /// of background scrubbing.
     #[must_use]
     pub fn live_logical_pages(&self) -> Vec<usize> {
-        self.map
+        self.meta
+            .map
             .iter()
             .enumerate()
             .filter_map(|(l, addr)| addr.map(|_| l))
@@ -1474,9 +1359,10 @@ impl FlashController {
     /// Live pages currently mapped.
     #[must_use]
     pub fn live_pages(&self) -> usize {
-        self.state
+        self.meta
+            .state
             .iter()
-            .filter(|s| matches!(s, PageState::Live(_)))
+            .filter(|s| matches!(s, PageState::Live { .. }))
             .count()
     }
 
@@ -1484,95 +1370,50 @@ impl FlashController {
         addr.block * self.array.config().pages_per_block + addr.page
     }
 
-    // ---- journaled metadata mutation helpers -------------------------
+    // ---- journaled metadata mutation ---------------------------------
     //
-    // Every mutation of the volatile metadata goes through these, so the
-    // crash-consistency delta log is complete by construction. All
-    // deltas carry absolute values (idempotent replay).
+    // Every mutation of the metadata goes through `mutate`, so the
+    // crash-consistency delta log is complete by construction and replay
+    // runs the same `FtlMeta::apply`. Two exceptions keep the journal
+    // whole another way: the counters are bumped in place and journaled
+    // absolute by `journal_counters`, and the builder settings (plane
+    // count, spare pool) re-cut the journal's copy. All deltas carry
+    // absolute values (idempotent replay).
 
-    #[allow(clippy::cast_possible_wrap)]
-    fn set_map(&mut self, lpn: usize, addr: Option<PageAddress>) {
-        let ppb = self.array.config().pages_per_block;
-        self.map[lpn] = addr;
-        if let Some(journal) = self.meta.as_mut() {
-            journal.deltas.push(MetaDelta::MapSet {
-                lpn: lpn as u64,
-                slot: addr.map_or(-1, |a| (a.block * ppb + a.page) as i64),
-            });
-        }
-    }
-
-    fn set_state(&mut self, slot: usize, s: PageState) {
-        self.state[slot] = s;
-        if let Some(journal) = self.meta.as_mut() {
-            journal.deltas.push(MetaDelta::StateSet {
-                slot: slot as u64,
-                code: state_code(s),
-            });
-        }
-    }
-
-    fn set_next_slot(&mut self, value: usize) {
-        self.next_slot = value;
-        if let Some(journal) = self.meta.as_mut() {
-            journal.deltas.push(MetaDelta::NextSlot {
-                value: value as u64,
-            });
-        }
-    }
-
-    fn set_next_lpn(&mut self, value: usize) {
-        self.next_lpn = value;
-        if let Some(journal) = self.meta.as_mut() {
-            journal.deltas.push(MetaDelta::NextLpn {
-                value: value as u64,
-            });
-        }
-    }
-
-    fn journal_counters(&mut self) {
-        let delta = MetaDelta::Counters {
-            reclaim_erases: self.reclaim_erases,
-            gc_erases: self.gc_erases,
-            gc_relocations: self.gc_relocations,
-            program_fails: self.program_fails,
-        };
-        if let Some(journal) = self.meta.as_mut() {
+    fn mutate(&mut self, delta: MetaDelta) {
+        self.meta.apply(&delta);
+        if let Some(journal) = self.journal.as_mut() {
             journal.deltas.push(delta);
         }
     }
 
-    fn mark_retired(&mut self, block: usize) {
-        self.bad_blocks[block] = true;
-        if let Some(journal) = self.meta.as_mut() {
-            journal.deltas.push(MetaDelta::BlockRetired {
-                block: block as u64,
-            });
-        }
+    fn set_map(&mut self, lpn: usize, addr: Option<PageAddress>) {
+        self.mutate(MetaDelta::MapSet { lpn, addr });
     }
 
-    fn enter_read_only(&mut self) {
-        if self.read_only {
-            return;
-        }
-        self.read_only = true;
-        gnr_telemetry::counter_add!("ftl.read_only_entries", 1);
-        if let Some(journal) = self.meta.as_mut() {
-            journal.deltas.push(MetaDelta::ReadOnly);
-        }
+    fn set_state(&mut self, slot: usize, state: PageState) {
+        self.mutate(MetaDelta::StateSet { slot, state });
     }
 
-    fn meta_reset(&mut self) {
-        self.map.fill(None);
-        self.state.fill(PageState::Free);
-        self.next_slot = 0;
-        if let Some(journal) = self.meta.as_mut() {
-            journal.deltas.push(MetaDelta::MetaReset);
-        }
+    fn set_next_slot(&mut self, value: usize) {
+        self.mutate(MetaDelta::NextSlot { value });
+    }
+
+    fn set_next_lpn(&mut self, value: usize) {
+        self.mutate(MetaDelta::NextLpn { value });
+    }
+
+    fn journal_counters(&mut self) {
+        self.mutate(MetaDelta::Counters {
+            reclaim_erases: self.meta.reclaim_erases,
+            gc_erases: self.meta.gc_erases,
+            gc_relocations: self.meta.gc_relocations,
+            program_fails: self.meta.program_fails,
+        });
     }
 
     fn note_program_fail(&mut self, addr: PageAddress) {
-        self.program_fails += 1;
+        self.meta.program_fails += 1;
         self.journal_counters();
         gnr_telemetry::counter_add!("ftl.program_fails", 1);
         gnr_telemetry::journal::record(gnr_telemetry::journal::EventKind::ProgramFail {
@@ -1584,21 +1425,23 @@ impl FlashController {
     /// Counts one completed controller op toward the checkpoint cadence
     /// and re-checkpoints when it is due (resetting the delta log).
     fn note_op(&mut self) {
-        let due = match self.meta.as_mut() {
-            Some(journal) => {
-                journal.since_checkpoint += 1;
-                journal.since_checkpoint >= journal.interval
-            }
-            None => false,
-        };
+        let due = self.journal.as_mut().is_some_and(|journal| {
+            journal.since_checkpoint += 1;
+            journal.since_checkpoint >= journal.interval
+        });
         if due {
-            let checkpoint = self.meta_checkpoint();
-            if let Some(journal) = self.meta.as_mut() {
-                journal.checkpoint = checkpoint;
-                journal.deltas.clear();
-                journal.since_checkpoint = 0;
-            }
+            self.cut_checkpoint();
             gnr_telemetry::counter_add!("ftl.meta_checkpoints", 1);
+        }
+    }
+
+    /// Copies the current metadata into the journal, when one is armed,
+    /// and clears its delta log.
+    fn cut_checkpoint(&mut self) {
+        if let Some(journal) = self.journal.as_mut() {
+            journal.checkpoint.clone_from(&self.meta);
+            journal.deltas.clear();
+            journal.since_checkpoint = 0;
         }
     }
 
@@ -1609,7 +1452,7 @@ impl FlashController {
     /// fault-tolerant mode, blocks whose erase reports a grown-bad
     /// status are retired and the search continues.
     fn allocate(&mut self) -> Result<PageAddress> {
-        if self.read_only {
+        if self.meta.read_only {
             return Err(ArrayError::ReadOnly);
         }
         // Bounded loop: every round either returns, frees pages, or
@@ -1624,7 +1467,7 @@ impl FlashController {
             if let Some(block) = self.reclaim_candidate() {
                 match self.array.erase_block(block) {
                     Ok(()) => {
-                        self.reclaim_erases += 1;
+                        self.meta.reclaim_erases += 1;
                         self.journal_counters();
                         gnr_telemetry::counter_add!("ftl.reclaims", 1);
                         gnr_telemetry::journal::record(
@@ -1634,7 +1477,7 @@ impl FlashController {
                         );
                         self.free_block_state(block);
                     }
-                    Err(ArrayError::BlockRetired { .. }) if self.fault_tolerant => {
+                    Err(ArrayError::BlockRetired { .. }) if self.meta.fault_tolerant => {
                         // Fully-stale block grew bad on its reclaim
                         // erase: nothing live to relocate, just retire.
                         self.retire_block(block)?;
@@ -1659,8 +1502,10 @@ impl FlashController {
         let cfg = self.array.config();
         let pages = cfg.pages();
         for off in 0..pages {
-            let slot = (self.next_slot + off) % pages;
-            if self.state[slot] == PageState::Free && !self.bad_blocks[slot / cfg.pages_per_block] {
+            let slot = (self.meta.next_slot + off) % pages;
+            if self.meta.state[slot] == PageState::Free
+                && !self.meta.bad_blocks[slot / cfg.pages_per_block]
+            {
                 self.set_next_slot((slot + 1) % pages);
                 return Some(PageAddress {
                     block: slot / cfg.pages_per_block,
@@ -1678,8 +1523,8 @@ impl FlashController {
         (0..cfg.blocks)
             .filter(|&b| {
                 let first = b * cfg.pages_per_block;
-                !self.bad_blocks[b]
-                    && self.state[first..first + cfg.pages_per_block]
+                !self.meta.bad_blocks[b]
+                    && self.meta.state[first..first + cfg.pages_per_block]
                         .iter()
                         .all(|s| *s == PageState::Stale)
             })
@@ -1705,17 +1550,17 @@ impl FlashController {
         let cfg = self.array.config();
         let victim = (0..cfg.blocks)
             .filter_map(|b| {
-                if self.bad_blocks[b] {
+                if self.meta.bad_blocks[b] {
                     return None; // retired — never a GC victim
                 }
                 let first = b * cfg.pages_per_block;
-                let states = &self.state[first..first + cfg.pages_per_block];
+                let states = &self.meta.state[first..first + cfg.pages_per_block];
                 if states.contains(&PageState::Free) {
                     return None; // not fully written — not a GC victim
                 }
                 let live = states
                     .iter()
-                    .filter(|s| matches!(s, PageState::Live(_)))
+                    .filter(|s| matches!(s, PageState::Live { .. }))
                     .count();
                 (live < cfg.pages_per_block).then_some((b, live))
             })
@@ -1732,7 +1577,7 @@ impl FlashController {
         let first = victim * cfg.pages_per_block;
         let mut survivors: Vec<(usize, Vec<bool>)> = Vec::new();
         for page in 0..cfg.pages_per_block {
-            if let PageState::Live(lpn) = self.state[first + page] {
+            if let PageState::Live { lpn } = self.meta.state[first + page] {
                 survivors.push((lpn, self.array.read_page(victim, page)?));
                 // The buffered copy supersedes the on-array one. From
                 // here until each survivor is reprogrammed, its map
@@ -1744,7 +1589,7 @@ impl FlashController {
         }
         match self.array.erase_block(victim) {
             Ok(()) => {}
-            Err(ArrayError::BlockRetired { .. }) if self.fault_tolerant => {
+            Err(ArrayError::BlockRetired { .. }) if self.meta.fault_tolerant => {
                 // The medium refused the erase, so the victim's cells —
                 // and the buffered survivors' originals — are intact.
                 // Retire the victim and place the survivors on healthy
@@ -1757,7 +1602,7 @@ impl FlashController {
             // as aliased data.
             Err(e) => return Err(e),
         }
-        self.gc_erases += 1;
+        self.meta.gc_erases += 1;
         self.journal_counters();
         gnr_telemetry::counter_add!("ftl.gc.erases", 1);
         gnr_telemetry::journal::record(gnr_telemetry::journal::EventKind::GcErase {
@@ -1779,7 +1624,7 @@ impl FlashController {
                 let slot = first + page;
                 match self.array.program_page(victim, page, bits) {
                     Ok(()) => {
-                        self.set_state(slot, PageState::Live(*lpn));
+                        self.set_state(slot, PageState::Live { lpn: *lpn });
                         self.set_map(
                             *lpn,
                             Some(PageAddress {
@@ -1787,7 +1632,7 @@ impl FlashController {
                                 page,
                             }),
                         );
-                        self.gc_relocations += 1;
+                        self.meta.gc_relocations += 1;
                         self.journal_counters();
                         gnr_telemetry::counter_add!("ftl.gc.relocations", 1);
                         gnr_telemetry::journal::record(
@@ -1803,7 +1648,7 @@ impl FlashController {
                     }
                     Err(e) => {
                         self.set_state(slot, PageState::Stale);
-                        if self.fault_tolerant {
+                        if self.meta.fault_tolerant {
                             self.note_program_fail(PageAddress {
                                 block: victim,
                                 page,
@@ -1815,7 +1660,7 @@ impl FlashController {
                 }
             }
             if !placed {
-                if self.fault_tolerant {
+                if self.meta.fault_tolerant {
                     // The freshly-erased victim would not take its own
                     // survivors back: it is done. Retire it (relocating
                     // any survivors already placed back in) and place
@@ -1840,7 +1685,7 @@ impl FlashController {
         for (lpn, bits) in survivors {
             let addr = self.place_bits(bits)?;
             self.commit_live(*lpn, addr);
-            self.gc_relocations += 1;
+            self.meta.gc_relocations += 1;
             self.journal_counters();
             gnr_telemetry::counter_add!("ftl.gc.relocations", 1);
             gnr_telemetry::journal::record(gnr_telemetry::journal::EventKind::GcRelocation {
@@ -1857,7 +1702,7 @@ impl FlashController {
         let first = block * cfg.pages_per_block;
         for slot in first..first + cfg.pages_per_block {
             debug_assert!(
-                !matches!(self.state[slot], PageState::Live(_)),
+                !matches!(self.meta.state[slot], PageState::Live { .. }),
                 "reclaim must never erase live pages"
             );
             self.set_state(slot, PageState::Free);
@@ -2218,9 +2063,11 @@ mod tests {
 
     #[test]
     fn crash_image_replays_to_the_running_digest() {
-        // Power-loss model: the crash image (medium + checkpoint +
-        // journaled deltas) recovers digest-identical to the running
-        // controller at any point, including mid-delta-window.
+        // Power-loss model: the checkpoint of a journaled controller
+        // (medium + metadata copy + journaled deltas) restores
+        // digest-identical to the running controller at any point,
+        // including mid-delta-window.
+        let gnr = CellBackend::gnr(FloatingGateTransistor::mlgnr_cnt_paper());
         let mut c = FlashController::new(NandConfig {
             blocks: 3,
             pages_per_block: 2,
@@ -2236,10 +2083,7 @@ mod tests {
         // Rewrites force reclaim/GC churn across the checkpoint window.
         for step in 0..5 {
             c.write_logical(step % 4, &data[step % 4]).unwrap();
-            let image = c.crash_image().unwrap();
-            let recovered =
-                FlashController::recover(FloatingGateTransistor::mlgnr_cnt_paper(), &image)
-                    .unwrap();
+            let recovered = FlashController::restore(&gnr, c.checkpoint()).unwrap();
             assert_eq!(
                 recovered.state_digest(),
                 c.state_digest(),
@@ -2247,15 +2091,69 @@ mod tests {
             );
             assert_eq!(recovered.live_pages(), c.live_pages());
         }
-        // The crash image itself round-trips through JSON.
-        let image = c.crash_image().unwrap();
-        let json = serde_json::to_string(&image).unwrap();
-        let decoded: CrashImage = serde_json::from_str(&json).unwrap();
-        let recovered =
-            FlashController::recover(FloatingGateTransistor::mlgnr_cnt_paper(), &decoded).unwrap();
+        // The checkpoint itself round-trips through JSON.
+        let json = serde_json::to_string(&c.checkpoint()).unwrap();
+        let decoded: Checkpoint = serde_json::from_str(&json).unwrap();
+        let recovered = FlashController::restore(&gnr, decoded).unwrap();
         assert_eq!(recovered.state_digest(), c.state_digest());
         // The delta log is bounded by the checkpoint cadence.
         assert!(c.crash_consistent());
+    }
+
+    #[test]
+    fn settings_applied_after_arming_the_journal_survive_restore() {
+        // The plane count and the spare pool are metadata too: set after
+        // crash consistency is armed, they must reach the journal's copy
+        // or a restore would drop them.
+        let gnr = CellBackend::gnr(FloatingGateTransistor::mlgnr_cnt_paper());
+        let mut c = FlashController::new(NandConfig {
+            blocks: 4,
+            pages_per_block: 2,
+            page_width: 4,
+        })
+        .with_crash_consistency(100)
+        .with_fault_tolerance(1)
+        .with_planes(2);
+        c.write(&[true; 4]).unwrap();
+        let restored = FlashController::restore(&gnr, c.checkpoint()).unwrap();
+        assert_eq!(restored.state_digest(), c.state_digest());
+        assert_eq!(restored.scheduler(), c.scheduler());
+        assert_eq!(restored.spare_blocks(), 1);
+    }
+
+    #[test]
+    fn restore_rejects_states_beyond_capacity() {
+        // No controller reaches a cursor equal to its range (the setters
+        // wrap) or maps a logical page beyond its capacity; a
+        // cursor-assigned write from such a cursor would map one, so
+        // restore refuses both — in the metadata and in a journaled
+        // delta alike.
+        let gnr = CellBackend::gnr(FloatingGateTransistor::mlgnr_cnt_paper());
+        let mut c = FlashController::new(NandConfig {
+            blocks: 3,
+            pages_per_block: 2,
+            page_width: 4,
+        });
+        c.write(&[true; 4]).unwrap();
+        let (pages, capacity) = (c.array().config().pages(), c.logical_capacity());
+        let good = c.checkpoint();
+        assert!(FlashController::restore(&gnr, good.clone()).is_ok());
+        let mut bad = vec![good.clone(), good.clone(), good.clone()];
+        bad[0].meta.next_lpn = capacity;
+        bad[1].meta.next_slot = pages;
+        bad[2].meta.map[capacity] = Some(PageAddress { block: 0, page: 0 });
+        for delta in [
+            MetaDelta::NextLpn { value: capacity },
+            MetaDelta::NextSlot { value: pages },
+        ] {
+            let mut cp = good.clone();
+            cp.deltas.push(delta);
+            bad.push(cp);
+        }
+        for cp in bad {
+            let err = FlashController::restore(&gnr, cp).unwrap_err();
+            assert!(matches!(err, ArrayError::Snapshot(_)), "{err}");
+        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! The power-loss half of the plan is keyed on the replayer's op clock:
 //! [`crash_and_recover`] runs a trace up to an injected cut point,
 //! captures what survives power loss (the array medium plus the
-//! controller's checkpoint + delta journal, see
-//! [`FlashController::crash_image`]), rebuilds a controller from it and
-//! finishes the trace. Recovery is pinned by the same digest discipline
+//! journal's metadata copy and delta log, see
+//! [`FlashController::checkpoint`]), restores a controller from it with
+//! [`FlashController::restore`] and finishes the trace. Recovery is pinned by the same digest discipline
 //! multi-plane parity and campaign checkpoints use: the recovered
 //! [`FlashController::state_digest`] must equal the uninterrupted run's
 //! at the cut, and the finished run's digest must equal the
@@ -211,8 +211,8 @@ pub struct RecoveryOutcome {
     /// `state_digest()` of the running controller the instant before
     /// power was cut.
     pub digest_at_crash: u64,
-    /// `state_digest()` of the controller rebuilt from the crash image
-    /// (checkpoint + replayed deltas). Crash consistency holds iff this
+    /// `state_digest()` of the controller restored from the checkpoint
+    /// (metadata copy + replayed deltas). Crash consistency holds iff this
     /// equals `digest_at_crash` — and equals the uninterrupted run's
     /// prefix digest at the same op.
     pub recovered_digest: u64,
@@ -258,18 +258,17 @@ pub fn replay_ops(
 }
 
 /// Runs `source` up to `crash_op`, cuts power (dropping every volatile
-/// controller field), recovers a controller from the crash image,
+/// controller field), restores a controller from its checkpoint,
 /// re-arms the fault plan on the recovered array and finishes the
 /// trace. `build` must construct the controller exactly as the
 /// uninterrupted run would (same backend, faults, spares, crash
-/// consistency interval).
+/// consistency interval). Without crash consistency
+/// ([`FlashController::enable_crash_consistency`]) the checkpoint holds
+/// the live metadata, so the cut models a clean shutdown instead.
 ///
 /// # Errors
 ///
-/// Replay and recovery failures propagate; the controller passed to
-/// `build` must have crash consistency enabled
-/// ([`FlashController::enable_crash_consistency`]) or the crash image
-/// capture fails.
+/// Replay and restore failures propagate.
 pub fn crash_and_recover(
     backend: &CellBackend,
     build: &dyn Fn() -> FlashController,
@@ -280,15 +279,16 @@ pub fn crash_and_recover(
     let mut running = build();
     replay_ops(&mut running, source, 0, crash_op)?;
     let digest_at_crash = running.state_digest();
-    let image = running.crash_image()?;
+    let checkpoint = running.checkpoint();
+    let deltas_replayed = checkpoint.deltas.len();
     gnr_telemetry::set_op_index(crash_op as u64);
     gnr_telemetry::journal::record(gnr_telemetry::journal::EventKind::PowerLoss {
-        pending_deltas: image.deltas.len() as u64,
+        pending_deltas: deltas_replayed as u64,
     });
     gnr_telemetry::counter_add!("ftl.power_losses", 1);
-    // Power is gone: everything not in the image is lost.
+    // Power is gone: everything not in the checkpoint is lost.
     drop(running);
-    let mut recovered = FlashController::recover_backend(backend, &image)?;
+    let mut recovered = FlashController::restore(backend, checkpoint)?;
     recovered.set_faults(Some(plan.clone()));
     let recovered_digest = recovered.state_digest();
     replay_ops(&mut recovered, source, crash_op, source.len())?;
@@ -297,7 +297,7 @@ pub fn crash_and_recover(
         digest_at_crash,
         recovered_digest,
         final_digest: recovered.state_digest(),
-        deltas_replayed: image.deltas.len(),
+        deltas_replayed,
     })
 }
 

@@ -18,7 +18,6 @@
 //! logic '0' (matching the paper's state naming).
 
 use gnr_flash::backend::CellBackend;
-use gnr_flash::device::FloatingGateTransistor;
 use gnr_flash::engine::BatchSimulator;
 use gnr_flash::threshold::LogicState;
 use gnr_numerics::hash::{fnv1a_fold_bytes, fnv1a_fold_f64, FNV1A_OFFSET};
@@ -80,9 +79,9 @@ impl Default for NandConfig {
 /// Serializable full state of a [`NandArray`]: the shape, the per-cell
 /// state columns, and the page/block bookkeeping. The disturb bias,
 /// ISPP programmer/eraser and batch executor are non-configurable
-/// nominals — [`NandArray::restore_state`] re-creates them exactly as
-/// [`NandArray::with_population`] would, so a restored array behaves
-/// bit-identically to the one that was snapshotted.
+/// nominals — [`NandArray::restore_state_backend`] re-creates them
+/// exactly as [`NandArray::with_population`] would, so a restored array
+/// behaves bit-identically to the one that was snapshotted.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ArraySnapshot {
     /// The array shape.
@@ -337,55 +336,23 @@ impl NandArray {
         h
     }
 
-    /// Rebuilds an array from a device blueprint and a snapshot — the
+    /// Rebuilds an array from a device backend and a snapshot — the
     /// inverse of [`Self::snapshot_state`]. The population's variant
-    /// table is re-derived from the delta columns; bias, programmer,
-    /// eraser and batch executor come back as the nominals
-    /// [`Self::with_population`] installs.
+    /// table is re-derived from the delta columns (see
+    /// [`CellPopulation::restore_backend`]); bias, programmer, eraser and
+    /// batch executor come back as the nominals
+    /// [`Self::with_population`] installs. GNR callers pass
+    /// [`CellBackend::gnr`].
     ///
     /// # Errors
     ///
     /// [`ArrayError::Snapshot`] when the bookkeeping columns disagree
-    /// with the shape; population restore errors propagate.
-    pub fn restore_state(
-        blueprint: FloatingGateTransistor,
-        snapshot: ArraySnapshot,
-    ) -> Result<Self> {
-        let pop = CellPopulation::restore(blueprint, snapshot.population)?;
-        Self::finish_restore(
-            snapshot.config,
-            pop,
-            snapshot.page_erased,
-            snapshot.erase_count,
-        )
-    }
-
-    /// Rebuilds an array from a device backend and a snapshot — the
-    /// backend-polymorphic sibling of [`Self::restore_state`]. GNR
-    /// restores through this path are bit-identical to
-    /// [`Self::restore_state`] over the same blueprint.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::restore_state`]; additionally
-    /// [`ArrayError::UnsupportedBackend`] when a PCM backend is given a
-    /// snapshot carrying floating-gate variation deltas.
+    /// with the shape; [`ArrayError::UnsupportedBackend`] when a PCM
+    /// backend is given a snapshot carrying floating-gate variation
+    /// deltas; population restore errors propagate.
     pub fn restore_state_backend(backend: &CellBackend, snapshot: ArraySnapshot) -> Result<Self> {
+        let config = snapshot.config;
         let pop = CellPopulation::restore_backend(backend, snapshot.population)?;
-        Self::finish_restore(
-            snapshot.config,
-            pop,
-            snapshot.page_erased,
-            snapshot.erase_count,
-        )
-    }
-
-    fn finish_restore(
-        config: NandConfig,
-        pop: CellPopulation,
-        page_erased: Vec<bool>,
-        erase_count: Vec<u64>,
-    ) -> Result<Self> {
         if pop.len() != config.cells() {
             return Err(ArrayError::Snapshot(format!(
                 "population has {} cells, shape wants {}",
@@ -393,23 +360,23 @@ impl NandArray {
                 config.cells()
             )));
         }
-        if page_erased.len() != config.pages() {
+        if snapshot.page_erased.len() != config.pages() {
             return Err(ArrayError::Snapshot(format!(
                 "page_erased has {} entries, shape wants {}",
-                page_erased.len(),
+                snapshot.page_erased.len(),
                 config.pages()
             )));
         }
-        if erase_count.len() != config.blocks {
+        if snapshot.erase_count.len() != config.blocks {
             return Err(ArrayError::Snapshot(format!(
                 "erase_count has {} entries, shape wants {}",
-                erase_count.len(),
+                snapshot.erase_count.len(),
                 config.blocks
             )));
         }
         let mut array = Self::with_population(config, pop);
-        array.page_erased = page_erased;
-        array.erase_count = erase_count;
+        array.page_erased = snapshot.page_erased;
+        array.erase_count = snapshot.erase_count;
         Ok(array)
     }
 

@@ -141,8 +141,8 @@ impl Default for PopulationVariation {
 /// Serializable per-cell state of a population: the six state columns.
 ///
 /// The variant table and devices are *not* serialized — they are
-/// derivable from the blueprint plus the delta columns, which is exactly
-/// what [`CellPopulation::restore`] rebuilds.
+/// derivable from the device plus the delta columns, which is exactly
+/// what [`CellPopulation::restore_backend`] rebuilds.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PopulationSnapshot {
     /// Stored charge per cell (C).
@@ -372,18 +372,33 @@ impl CellPopulation {
         Ok(pop)
     }
 
-    /// Rebuilds a population from a blueprint and a serialized state
-    /// snapshot (the inverse of [`Self::snapshot`]): the variant table is
-    /// re-derived from the delta columns.
+    /// Rebuilds a population under a device backend from a serialized
+    /// state snapshot (the inverse of [`Self::snapshot`]): the variant
+    /// table is re-derived from the delta columns. Floating-gate
+    /// backends restore around the backend's own device (GNR callers
+    /// pass [`CellBackend::gnr`]); PCM snapshots must carry all-zero
+    /// variation deltas — process variation is a floating-gate concept
+    /// here.
     ///
     /// # Errors
     ///
-    /// [`ArrayError::Snapshot`] on ragged columns; device-build failures
-    /// propagate.
-    pub fn restore(
-        blueprint: FloatingGateTransistor,
-        snapshot: PopulationSnapshot,
-    ) -> Result<Self> {
+    /// [`ArrayError::Snapshot`] on ragged columns;
+    /// [`ArrayError::UnsupportedBackend`] for a PCM snapshot with
+    /// nonzero variation deltas; device-build failures propagate.
+    pub fn restore_backend(backend: &CellBackend, snapshot: PopulationSnapshot) -> Result<Self> {
+        if backend.pcm_device().is_some() {
+            let varied = snapshot
+                .xto_delta
+                .iter()
+                .chain(snapshot.barrier_delta_ev.iter())
+                .any(|&d| d != 0.0);
+            if varied {
+                return Err(ArrayError::UnsupportedBackend {
+                    backend: backend.kind().name(),
+                    operation: "restore with floating-gate variation deltas",
+                });
+            }
+        }
         let n = snapshot.charge.len();
         if n == 0 {
             return Err(ArrayError::Snapshot("empty snapshot".into()));
@@ -401,6 +416,10 @@ impl CellPopulation {
                 )));
             }
         }
+        let blueprint = backend
+            .floating_gate_device()
+            .cloned()
+            .unwrap_or_else(FloatingGateTransistor::mlgnr_cnt_paper);
         let mut pop = Self::uniform(blueprint, n);
         let mut index = pop.variant_index();
         for i in 0..n {
@@ -415,38 +434,6 @@ impl CellPopulation {
         pop.injected_charge = snapshot.injected_charge;
         pop.program_ops = snapshot.program_ops;
         pop.erase_ops = snapshot.erase_ops;
-        Ok(pop)
-    }
-
-    /// [`Self::restore`] under an explicit device backend (the
-    /// checkpoint-resume path of non-GNR campaigns). Floating-gate
-    /// backends restore around the backend's own device; PCM snapshots
-    /// must carry all-zero variation deltas — process variation is a
-    /// floating-gate concept here.
-    ///
-    /// # Errors
-    ///
-    /// [`ArrayError::UnsupportedBackend`] for a PCM snapshot with
-    /// nonzero variation deltas; otherwise as [`Self::restore`].
-    pub fn restore_backend(backend: &CellBackend, snapshot: PopulationSnapshot) -> Result<Self> {
-        if backend.pcm_device().is_some() {
-            let varied = snapshot
-                .xto_delta
-                .iter()
-                .chain(snapshot.barrier_delta_ev.iter())
-                .any(|&d| d != 0.0);
-            if varied {
-                return Err(ArrayError::UnsupportedBackend {
-                    backend: backend.kind().name(),
-                    operation: "restore with floating-gate variation deltas",
-                });
-            }
-        }
-        let blueprint = backend
-            .floating_gate_device()
-            .cloned()
-            .unwrap_or_else(FloatingGateTransistor::mlgnr_cnt_paper);
-        let mut pop = Self::restore(blueprint, snapshot)?;
         pop.adopt_backend(backend);
         Ok(pop)
     }
@@ -724,9 +711,9 @@ impl CellPopulation {
     /// matching device variant.
     ///
     /// One-off API: looks the variant up with a table scan. Bulk
-    /// construction ([`Self::with_variation`], [`Self::restore`]) keeps
-    /// a hash index instead, so varied million-cell populations intern
-    /// in O(n).
+    /// construction ([`Self::with_variation`],
+    /// [`Self::restore_backend`]) keeps a hash index instead, so varied
+    /// million-cell populations intern in O(n).
     ///
     /// # Errors
     ///
@@ -1640,8 +1627,8 @@ mod tests {
         let json = serde_json::to_string(&pop.snapshot()).unwrap();
         let decoded: PopulationSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(decoded, pop.snapshot());
-        let rebuilt =
-            CellPopulation::restore(FloatingGateTransistor::mlgnr_cnt_paper(), decoded).unwrap();
+        let gnr = CellBackend::gnr(FloatingGateTransistor::mlgnr_cnt_paper());
+        let rebuilt = CellPopulation::restore_backend(&gnr, decoded).unwrap();
         assert_eq!(rebuilt, pop);
     }
 

@@ -743,7 +743,8 @@ pub fn replay(
 ///
 /// The campaign advances through [`CampaignRunner::step`], each step
 /// being exactly one checkpointable unit — callers may serialize a
-/// [`CampaignCheckpoint`] between any two steps and resume in another
+/// [`Checkpoint`](crate::controller::Checkpoint) carrying the runner's
+/// [`CampaignState`] between any two steps and resume in another
 /// process with bit-identical continuation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnduranceCampaign {
@@ -799,29 +800,19 @@ pub enum CampaignPhase {
 }
 
 /// The campaign's resumable position: the round index and the phase
-/// position inside it. Together with a
-/// [`ControllerSnapshot`](crate::controller::ControllerSnapshot) this is
-/// everything a resumed process needs — the campaign *configuration*
-/// (recipe, seeds, shape) is reconstructed by the caller exactly like
-/// the device blueprint.
+/// position inside it. Stored in a controller
+/// [`Checkpoint`](crate::controller::Checkpoint)'s `campaign` field, it
+/// is everything a resumed process needs beyond the controller — the
+/// campaign *configuration* (recipe, seeds, shape) is reconstructed by
+/// the caller exactly like the device backend. Restoring the checkpoint
+/// and continuing through [`CampaignRunner::resume`] produces the same
+/// [`FlashController::state_digest`] as never stopping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CampaignState {
     /// Current round (0-based); `round == rounds` means done.
     pub round: usize,
     /// Position inside the round.
     pub phase: CampaignPhase,
-}
-
-/// A full campaign checkpoint: the controller's complete state plus
-/// the campaign position. Serializable between any two
-/// [`CampaignRunner::step`] calls; restoring and continuing produces
-/// the same [`FlashController::state_digest`] as never stopping.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct CampaignCheckpoint {
-    /// The controller snapshot.
-    pub controller: crate::controller::ControllerSnapshot,
-    /// The campaign position.
-    pub state: CampaignState,
 }
 
 /// What one [`CampaignRunner::step`] did.

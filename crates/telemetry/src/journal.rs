@@ -160,13 +160,23 @@ impl serde::Deserialize for JournalEvent {
 
 /// Maps a decoded backend name onto a `'static` string: the known
 /// backends intern to their canonical literals, anything else is leaked
-/// once (the set of names in any trace is tiny and fixed).
+/// once per distinct name (the set of names in any trace is tiny and
+/// fixed) and reused on every later decode.
 fn intern_backend(name: &str) -> &'static str {
+    static LEAKED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
     match name {
         "gnr-floating-gate" => "gnr-floating-gate",
         "cnt-floating-gate" => "cnt-floating-gate",
         "pcm-resistive" => "pcm-resistive",
-        other => Box::leak(other.to_string().into_boxed_str()),
+        other => {
+            let mut leaked = LEAKED.lock();
+            if let Some(&interned) = leaked.iter().find(|&&s| s == other) {
+                return interned;
+            }
+            let interned: &'static str = Box::leak(other.to_string().into_boxed_str());
+            leaked.push(interned);
+            interned
+        }
     }
 }
 
@@ -304,5 +314,17 @@ mod tests {
         };
         let parsed = JournalEvent::from_value(&event.to_value()).unwrap();
         assert_eq!(parsed, event);
+    }
+
+    #[test]
+    fn unknown_backend_names_are_leaked_once() {
+        let event = JournalEvent {
+            op: 1,
+            backend: "another-future-backend",
+            kind: EventKind::Reclaim { block: 2 },
+        };
+        let first = JournalEvent::from_value(&event.to_value()).unwrap();
+        let second = JournalEvent::from_value(&event.to_value()).unwrap();
+        assert!(std::ptr::eq(first.backend, second.backend));
     }
 }

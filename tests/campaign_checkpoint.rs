@@ -7,12 +7,13 @@
 //! on the same final controller digest, the same margin digest and the
 //! same reliability trajectory as the run that never stopped.
 
+use gnr_flash::backend::CellBackend;
 use gnr_flash::device::FloatingGateTransistor;
-use gnr_flash_array::controller::FlashController;
+use gnr_flash_array::controller::{Checkpoint, FlashController};
 use gnr_flash_array::ispp::nominal_cycle_recipe;
 use gnr_flash_array::margins;
 use gnr_flash_array::nand::NandConfig;
-use gnr_flash_array::workload::{CampaignCheckpoint, CampaignRunner, EnduranceCampaign};
+use gnr_flash_array::workload::{CampaignRunner, EnduranceCampaign};
 use gnr_reliability::ber::BerModel;
 use gnr_reliability::codec::EccConfig;
 use gnr_reliability::uber::{ReliabilityObserver, ReliabilityPoint};
@@ -39,6 +40,10 @@ fn campaign() -> EnduranceCampaign {
         window_segment: 3,
         window_seed: 0xC0FFEE,
     }
+}
+
+fn gnr() -> CellBackend {
+    CellBackend::gnr(FloatingGateTransistor::mlgnr_cnt_paper())
 }
 
 fn observer() -> ReliabilityObserver {
@@ -75,24 +80,19 @@ fn resumed_after(prefix: usize) -> (u64, u64, Vec<ReliabilityPoint>) {
             .unwrap()
             .expect("prefix must not exhaust the campaign");
     }
-    let checkpoint = CampaignCheckpoint {
-        controller: controller.snapshot(),
-        state: runner.state(),
-    };
+    let mut checkpoint = controller.checkpoint();
+    checkpoint.campaign = Some(runner.state());
     let json = serde_json::to_string(&checkpoint).unwrap();
     let passes = obs.next_pass();
     let mut prefix_trajectory = obs.trajectory;
 
     // "New process": everything below is rebuilt from the blueprint and
     // the JSON alone.
-    let decoded: CampaignCheckpoint = serde_json::from_str(&json).unwrap();
-    let mut controller = FlashController::restore(
-        FloatingGateTransistor::mlgnr_cnt_paper(),
-        decoded.controller,
-    )
-    .unwrap();
+    let decoded: Checkpoint = serde_json::from_str(&json).unwrap();
+    let state = decoded.campaign.unwrap();
+    let mut controller = FlashController::restore(&gnr(), decoded).unwrap();
     let c2 = campaign();
-    let mut runner = CampaignRunner::resume(&c2, decoded.state);
+    let mut runner = CampaignRunner::resume(&c2, state);
     let mut obs = observer();
     obs.set_next_pass(passes);
     runner.run_to_end(&mut controller, &mut obs).unwrap();
@@ -137,12 +137,9 @@ fn snapshot_restore_round_trips_without_stepping() {
         runner.step(&mut controller, &mut obs).unwrap();
     }
     let digest = controller.state_digest();
-    let snap = controller.snapshot();
-    let json = serde_json::to_string(&snap).unwrap();
-    let decoded: gnr_flash_array::controller::ControllerSnapshot =
-        serde_json::from_str(&json).unwrap();
-    let restored =
-        FlashController::restore(FloatingGateTransistor::mlgnr_cnt_paper(), decoded).unwrap();
+    let json = serde_json::to_string(&controller.checkpoint()).unwrap();
+    let decoded: Checkpoint = serde_json::from_str(&json).unwrap();
+    let restored = FlashController::restore(&gnr(), decoded).unwrap();
     assert_eq!(restored.state_digest(), digest);
     assert_eq!(restored.live_pages(), controller.live_pages());
     assert_eq!(

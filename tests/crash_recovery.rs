@@ -1,15 +1,15 @@
 //! Power-loss crash consistency, swept exhaustively: a GC-churn trace
-//! is cut at **every** op-clock index, and the controller rebuilt from
-//! the crash image (array medium + metadata checkpoint + journaled
-//! deltas) must be digest-identical to the uninterrupted run at the
-//! cut — and finish the trace to the identical final digest.
+//! is cut at **every** op-clock index, and the controller restored from
+//! its checkpoint (array medium + the journal's metadata copy +
+//! journaled deltas) must be digest-identical to the uninterrupted run
+//! at the cut — and finish the trace to the identical final digest.
 //!
 //! The sweep runs under fault injection (a grown-bad block retires and
 //! relocates mid-trace), so retirement, relocation and spare-pool
 //! bookkeeping all cross the power cut through the delta journal.
 
 use gnr_flash::backend::{BackendKind, CellBackend};
-use gnr_flash_array::controller::{CrashImage, FlashController};
+use gnr_flash_array::controller::{Checkpoint, FlashController};
 use gnr_flash_array::fault::{crash_and_recover, replay_ops, FaultPlan};
 use gnr_flash_array::nand::NandConfig;
 use gnr_flash_array::workload::{GcChurnSource, TraceSource};
@@ -109,13 +109,12 @@ fn crash_image_round_trips_through_json() {
     let mut c = build_controller(&backend, &plan);
     let capacity = c.logical_capacity();
     let source = GcChurnSource::new(capacity, capacity, 0xfeed);
-    // Stop mid-delta-window so the image carries live deltas.
+    // Stop mid-delta-window so the checkpoint carries live deltas.
     replay_ops(&mut c, &source, 0, capacity + 1).unwrap();
 
-    let image = c.crash_image().unwrap();
-    let json = serde_json::to_string(&image).unwrap();
-    let decoded: CrashImage = serde_json::from_str(&json).unwrap();
-    let recovered = FlashController::recover_backend(&backend, &decoded).unwrap();
+    let json = serde_json::to_string(&c.checkpoint()).unwrap();
+    let decoded: Checkpoint = serde_json::from_str(&json).unwrap();
+    let recovered = FlashController::restore(&backend, decoded).unwrap();
     assert_eq!(recovered.state_digest(), c.state_digest());
     assert_eq!(recovered.live_pages(), c.live_pages());
 
@@ -125,4 +124,37 @@ fn crash_image_round_trips_through_json() {
     replay_ops(&mut c, &source, capacity + 1, source.len()).unwrap();
     replay_ops(&mut recovered, &source, capacity + 1, source.len()).unwrap();
     assert_eq!(recovered.state_digest(), c.state_digest());
+}
+
+#[test]
+fn restored_journal_survives_a_second_power_cut() {
+    // A checkpoint of a crash-consistent controller restores
+    // crash-consistent: the journal is re-armed with an empty delta log,
+    // so a second power cut shortly after the restore still recovers
+    // digest-identical to the run that never lost power.
+    let backend = CellBackend::preset(BackendKind::GnrFloatingGate);
+    let plan = FaultPlan::seeded(3);
+    let mut reference = build_controller(&backend, &plan);
+    let capacity = reference.logical_capacity();
+    let source = GcChurnSource::new(capacity, 2 * capacity, 0xbeef);
+    replay_ops(&mut reference, &source, 0, capacity + 1).unwrap();
+
+    let mut restored = FlashController::restore(&backend, reference.checkpoint()).unwrap();
+    restored.set_faults(Some(plan.clone()));
+    assert!(restored.crash_consistent());
+    assert_eq!(restored.pending_deltas(), 0);
+    let bits = vec![true; shape().page_width];
+    restored.write_logical(0, &bits).unwrap();
+    reference.write_logical(0, &bits).unwrap();
+    assert!(restored.pending_deltas() > 0);
+
+    // The second cut lands two ops after the restore, inside the
+    // re-armed journal's first delta window.
+    replay_ops(&mut restored, &source, capacity + 1, capacity + 2).unwrap();
+    replay_ops(&mut reference, &source, capacity + 1, capacity + 2).unwrap();
+    assert!(restored.pending_deltas() > 0);
+    let recovered = FlashController::restore(&backend, restored.checkpoint()).unwrap();
+    assert!(recovered.crash_consistent());
+    assert_eq!(recovered.state_digest(), restored.state_digest());
+    assert_eq!(recovered.state_digest(), reference.state_digest());
 }

@@ -111,10 +111,9 @@ fn gnr_backend_path_is_bit_identical_to_the_blueprint_path() {
         );
     }
 
-    // And the snapshot seam: a blueprint snapshot restores through the
-    // backend entry point to the identical digest.
-    let snapshot = old.snapshot();
-    let restored = FlashController::restore_backend(&gnr, snapshot).expect("backend restore");
+    // And the checkpoint seam: a checkpoint of the blueprint-built
+    // controller restores through the GNR backend to the identical digest.
+    let restored = FlashController::restore(&gnr, old.checkpoint()).expect("backend restore");
     assert_eq!(restored.state_digest(), old.state_digest());
 }
 

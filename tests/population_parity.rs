@@ -282,11 +282,10 @@ proptest! {
         let json = serde_json::to_string_pretty(&pop.snapshot()).expect("serialize");
         let decoded: PopulationSnapshot = serde_json::from_str(&json).expect("parse");
         prop_assert_eq!(&decoded, &pop.snapshot());
-        let rebuilt = CellPopulation::restore(
+        let gnr = gnr_flash::backend::CellBackend::gnr(
             gnr_flash::device::FloatingGateTransistor::mlgnr_cnt_paper(),
-            decoded,
-        )
-        .expect("rebuild");
+        );
+        let rebuilt = CellPopulation::restore_backend(&gnr, decoded).expect("rebuild");
         for i in 0..n {
             let (x, b) = rebuilt.variation_deltas(i).expect("in range");
             prop_assert_eq!(x.to_bits(), xtos[i].to_bits());

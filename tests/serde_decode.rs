@@ -9,12 +9,12 @@ use gnr_flash::device::FloatingGateTransistor;
 use gnr_flash::telemetry::journal::{EventKind, JournalEvent, JournalSnapshot};
 use gnr_flash::telemetry::DEFAULT_BACKEND;
 use gnr_flash_array::controller::{
-    ControllerSnapshot, CrashImage, FlashController, MetaCheckpoint, MetaDelta,
+    Checkpoint, FlashController, FtlMeta, MetaDelta, PageAddress, PageState,
 };
 use gnr_flash_array::nand::{ArraySnapshot, NandConfig};
 use gnr_flash_array::population::{CellPopulation, PopulationSnapshot, PopulationVariation};
 use gnr_flash_array::workload::{
-    CampaignCheckpoint, CampaignPhase, CampaignState, PagePattern, WorkloadOp, WorkloadTrace,
+    CampaignPhase, CampaignState, PagePattern, WorkloadOp, WorkloadTrace,
 };
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -29,15 +29,19 @@ fn round_trip<T: Serialize + Deserialize + PartialEq + Debug>(value: &T) -> Stri
     json
 }
 
-/// A controller over a tiny array with crash consistency on, after a
-/// write, an overwrite (one stale page) and a second logical page.
-fn controller() -> FlashController {
+/// A controller over a tiny array after a write, an overwrite (one
+/// stale page) and a second logical page; with `crash_consistency` the
+/// writes are journaled as deltas onto the pristine metadata.
+fn controller(crash_consistency: bool) -> FlashController {
     let config = NandConfig {
         blocks: 2,
         pages_per_block: 2,
         page_width: 2,
     };
-    let mut c = FlashController::new(config).with_crash_consistency(100);
+    let mut c = FlashController::new(config);
+    if crash_consistency {
+        c.enable_crash_consistency(100);
+    }
     c.write_logical(0, &[false, true]).unwrap();
     c.write_logical(0, &[true, false]).unwrap();
     c.write_logical(1, &[false, false]).unwrap();
@@ -53,8 +57,23 @@ fn campaign_state() -> CampaignState {
 
 fn meta_deltas() -> Vec<MetaDelta> {
     vec![
-        MetaDelta::MapSet { lpn: 2, slot: -1 },
-        MetaDelta::StateSet { slot: 3, code: -2 },
+        MetaDelta::MapSet { lpn: 2, addr: None },
+        MetaDelta::MapSet {
+            lpn: 1,
+            addr: Some(PageAddress { block: 1, page: 0 }),
+        },
+        MetaDelta::StateSet {
+            slot: 3,
+            state: PageState::Stale,
+        },
+        MetaDelta::StateSet {
+            slot: 2,
+            state: PageState::Live { lpn: 1 },
+        },
+        MetaDelta::StateSet {
+            slot: 1,
+            state: PageState::Free,
+        },
         MetaDelta::NextSlot { value: 1 },
         MetaDelta::NextLpn { value: 4 },
         MetaDelta::Counters {
@@ -140,14 +159,19 @@ fn u64_max_seeds_round_trip_exactly() {
 }
 
 #[test]
-fn negative_state_codes_round_trip_exactly() {
-    let meta: MetaCheckpoint = controller().snapshot().meta;
-    assert!(
-        meta.state.contains(&-1) && meta.state.contains(&-2),
-        "{meta:?}"
-    );
-    assert!(meta.map.contains(&-1), "{meta:?}");
-    round_trip(&meta);
+fn typed_metadata_round_trips_exactly() {
+    let meta: FtlMeta = controller(false).checkpoint().meta;
+    for state in [
+        PageState::Free,
+        PageState::Stale,
+        PageState::Live { lpn: 0 },
+    ] {
+        assert!(meta.state.contains(&state), "{meta:?}");
+    }
+    assert!(meta.map.contains(&None), "{meta:?}");
+    assert!(meta.map.iter().any(Option::is_some), "{meta:?}");
+    let json = round_trip(&meta);
+    assert!(json.contains(r#"{"kind":"live","lpn":0}"#), "{json}");
     for delta in meta_deltas() {
         round_trip(&delta);
     }
@@ -281,11 +305,11 @@ fn reject_corruptions<T: Serialize + Deserialize + Debug>(sample: &T) -> usize {
 
 #[test]
 fn malformed_input_is_rejected_for_every_decoded_type() {
-    let c = controller();
-    let snapshot: ControllerSnapshot = c.snapshot();
-    let image: CrashImage = c.crash_image().unwrap();
-    assert!(!image.deltas.is_empty());
-    let array: ArraySnapshot = snapshot.array.clone();
+    let mut checkpoint: Checkpoint = controller(true).checkpoint();
+    assert!(!checkpoint.deltas.is_empty());
+    assert_eq!(checkpoint.journal_interval, Some(100));
+    checkpoint.campaign = Some(campaign_state());
+    let array: ArraySnapshot = checkpoint.array.clone();
     let population = CellPopulation::with_variation(
         FloatingGateTransistor::mlgnr_cnt_paper(),
         2,
@@ -307,15 +331,10 @@ fn malformed_input_is_rejected_for_every_decoded_type() {
         reject_corruptions(&array.config),
         reject_corruptions(&population),
         reject_corruptions(&array),
-        reject_corruptions(&snapshot.meta),
-        reject_corruptions(&snapshot),
-        reject_corruptions(&image),
+        reject_corruptions(&controller(false).checkpoint().meta),
+        reject_corruptions(&checkpoint),
         reject_corruptions(&campaign_state()),
         reject_corruptions(&CampaignPhase::Epoch { cycles_done: 7 }),
-        reject_corruptions(&CampaignCheckpoint {
-            controller: snapshot,
-            state: campaign_state(),
-        }),
         reject_corruptions(&trace()),
         reject_corruptions(&JournalSnapshot {
             recorded: 20,
