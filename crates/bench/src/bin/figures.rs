@@ -7,13 +7,16 @@
 //! Iterates the [`gnr_flash::experiments::registry()`] — every paper
 //! figure plus the extension studies — through the batched engine,
 //! writes each experiment's artifacts under `results/`, runs every
-//! shape check and prints the per-figure summaries that EXPERIMENTS.md
-//! quotes. Array-layer experiments (the trace-driven workloads) are
-//! appended from [`gnr_bench::extra_experiments`], since the core
-//! registry cannot depend on the array crate. Adding an experiment to
-//! either list adds it here with no changes to this binary.
+//! shape check and prints the per-figure summaries. Array-layer
+//! experiments (trace-driven workloads, the reliability grid, the P/E
+//! operation comparisons) are appended from
+//! [`gnr_bench::extra_experiments`], since the core registry cannot
+//! depend on the array crate. Adding an experiment to either list adds
+//! it here with no changes to this binary.
 
-use gnr_bench::{ascii_table, extra_experiments, write_results_file};
+use std::path::{Path, PathBuf};
+
+use gnr_bench::extra_experiments;
 use gnr_flash::experiments::ExperimentContext;
 use gnr_flash::presets;
 use gnr_units::Charge;
@@ -84,4 +87,77 @@ fn main() {
         std::process::exit(1);
     }
     println!("\nAll figure checks passed. CSVs under results/.");
+}
+
+/// Renders rows as a fixed-width ASCII table with a header rule.
+///
+/// # Panics
+///
+/// Panics when rows are ragged with respect to the header.
+fn ascii_table(header: &[&str], rows: &[Vec<String>]) -> String {
+    for r in rows {
+        assert_eq!(r.len(), header.len(), "ragged table row");
+    }
+    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+    for row in rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
+        }
+    }
+    let mut out = String::new();
+    let fmt_row = |cells: Vec<&str>, widths: &[usize]| -> String {
+        let mut line = String::from("|");
+        for (c, w) in cells.iter().zip(widths) {
+            line.push_str(&format!(" {c:<w$} |"));
+        }
+        line.push('\n');
+        line
+    };
+    out.push_str(&fmt_row(header.to_vec(), &widths));
+    out.push('|');
+    for w in &widths {
+        out.push_str(&format!("{:-<1$}|", "", w + 2));
+    }
+    out.push('\n');
+    for row in rows {
+        out.push_str(&fmt_row(row.iter().map(String::as_str).collect(), &widths));
+    }
+    out
+}
+
+/// Writes `contents` under `results/` (created on demand) and returns the
+/// path.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+fn write_results_file(name: &str, contents: &str) -> std::io::Result<PathBuf> {
+    let dir = Path::new("results");
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(name);
+    std::fs::write(&path, contents)?;
+    Ok(path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table_alignment() {
+        let t = ascii_table(
+            &["a", "bbbb"],
+            &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
+        );
+        let lines: Vec<&str> = t.lines().collect();
+        assert_eq!(lines.len(), 4);
+        // All lines equal width.
+        assert!(lines.iter().all(|l| l.len() == lines[0].len()));
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged")]
+    fn ragged_rows_panic() {
+        let _ = ascii_table(&["a"], &[vec!["1".into(), "2".into()]]);
+    }
 }

@@ -19,6 +19,7 @@ pub fn extra_experiments() -> Vec<Box<dyn Experiment>> {
     vec![
         Box::new(WorkloadExperiment),
         Box::new(crate::reliability_experiment::ReliabilityExperiment),
+        Box::new(crate::pe_experiment::PeOperationsExperiment),
     ]
 }
 
@@ -50,7 +51,7 @@ impl Experiment for WorkloadExperiment {
         for trace in traces {
             let mut controller = FlashController::new(config);
             let report = replay(&mut controller, &trace, &ReplayOptions::default(), &mut ())
-                .map_err(experiment_error)?;
+                .map_err(crate::array_error)?;
             let wear = &report.snapshots.last().expect("final snapshot").wear;
             summary.push(format!(
                 "{}: {} ops ({} writes, {} reads, {} erases) in {:.1} ms; \
@@ -103,15 +104,6 @@ fn check_report(
         }
     }
     Ok(())
-}
-
-fn experiment_error(e: gnr_flash_array::ArrayError) -> gnr_flash::DeviceError {
-    match e {
-        gnr_flash_array::ArrayError::Device(inner) => inner,
-        other => gnr_flash::DeviceError::Numerics(gnr_numerics::NumericsError::InvalidInput(
-            other.to_string(),
-        )),
-    }
 }
 
 #[cfg(test)]

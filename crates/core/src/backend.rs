@@ -48,26 +48,14 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Stable lowercase name used in telemetry, bench JSON and CI
-    /// grep-asserts.
+    /// Stable lowercase name: the backend label of telemetry snapshots
+    /// and journal events, and of the perfbench run header.
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
             Self::GnrFloatingGate => "gnr-floating-gate",
             Self::CntFloatingGate => "cnt-floating-gate",
             Self::PcmResistive => "pcm-resistive",
-        }
-    }
-
-    /// Inverse of [`BackendKind::name`]; also accepts the short aliases
-    /// `gnr` / `cnt` / `pcm` used by `GNR_BENCH_BACKEND`.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "gnr-floating-gate" | "gnr" => Some(Self::GnrFloatingGate),
-            "cnt-floating-gate" | "cnt" => Some(Self::CntFloatingGate),
-            "pcm-resistive" | "pcm" => Some(Self::PcmResistive),
-            _ => None,
         }
     }
 
@@ -434,22 +422,6 @@ impl DeviceBackend for CellBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_round_trip() {
-        for kind in [
-            BackendKind::GnrFloatingGate,
-            BackendKind::CntFloatingGate,
-            BackendKind::PcmResistive,
-        ] {
-            assert_eq!(BackendKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(
-            BackendKind::from_name("pcm"),
-            Some(BackendKind::PcmResistive)
-        );
-        assert_eq!(BackendKind::from_name("nvm"), None);
-    }
 
     #[test]
     fn fold_key_separates_backends_over_identical_bits() {

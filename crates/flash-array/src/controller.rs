@@ -1170,7 +1170,8 @@ impl FlashController {
     ///
     /// [`ArrayError::Snapshot`] on shape mismatches and out-of-range
     /// addresses, lpns, cursors, spare pools or plane counts, in the
-    /// metadata or in a delta; array restore errors propagate
+    /// metadata or in a delta, and when the replayed map and page states
+    /// disagree; array restore errors propagate
     /// ([`ArrayError::UnsupportedBackend`] when a PCM backend is given a
     /// medium carrying floating-gate variation deltas).
     pub fn restore(backend: &CellBackend, checkpoint: Checkpoint) -> Result<Self> {
@@ -1183,6 +1184,7 @@ impl FlashController {
         for delta in &checkpoint.deltas {
             controller.replay(delta)?;
         }
+        controller.check_map_matches_state()?;
         match checkpoint.journal_interval {
             Some(interval) => {
                 controller.enable_crash_consistency(interval);
@@ -1246,6 +1248,35 @@ impl FlashController {
         bounded("cursor `next_lpn`", meta.next_lpn, logical)?;
         if meta.planes == 0 {
             return Err(ArrayError::Snapshot("bad plane count 0".into()));
+        }
+        Ok(())
+    }
+
+    /// Rejects a map and page-state column that disagree: each mapped
+    /// lpn's page must hold it live, and each live page must be its
+    /// lpn's mapped copy. Either mismatch would let the allocator hand
+    /// a still-referenced page to another logical page.
+    fn check_map_matches_state(&self) -> Result<()> {
+        let meta = &self.meta;
+        for (lpn, addr) in meta.map.iter().enumerate() {
+            if let Some(addr) = *addr {
+                let state = meta.state[self.slot(addr)];
+                if state != (PageState::Live { lpn }) {
+                    return Err(ArrayError::Snapshot(format!(
+                        "lpn {lpn} maps to {addr:?}, which is {state:?}"
+                    )));
+                }
+            }
+        }
+        for (slot, state) in meta.state.iter().enumerate() {
+            if let PageState::Live { lpn } = *state {
+                if meta.map[lpn].map(|addr| self.slot(addr)) != Some(slot) {
+                    return Err(ArrayError::Snapshot(format!(
+                        "slot {slot} holds lpn {lpn} live, but lpn {lpn} maps to {:?}",
+                        meta.map[lpn]
+                    )));
+                }
+            }
         }
         Ok(())
     }
@@ -1537,14 +1568,18 @@ impl FlashController {
     /// pages. Fails with [`ArrayError::CapacityExhausted`] when every
     /// page of the array is live.
     ///
-    /// Failure atomicity: a mid-GC device failure (erase or reprogram
-    /// verify) can lose the affected survivors — their mappings are
-    /// *cleared* before the error propagates, so no logical page is
-    /// ever left pointing at a freed or reallocated physical page; the
-    /// loss is visible as a read miss, never as aliased data. In
-    /// fault-tolerant mode nothing is lost at all: a grown-bad erase or
-    /// a dried-out reprogram retires the victim and places the
-    /// survivors on healthy blocks instead.
+    /// Failure atomicity: an erase the medium refuses (a grown-bad
+    /// status) leaves the victim's cells intact, so nothing is lost —
+    /// in fault-tolerant mode the victim is retired and the survivors
+    /// placed on healthy blocks, and every survivor that is not
+    /// relocated (no spare left, or nowhere to put it) stays mapped at
+    /// its original page. Any other mid-GC device failure (erase or
+    /// reprogram verify) can lose the affected survivors — their
+    /// mappings are *cleared* before the error propagates, so no logical
+    /// page is ever left pointing at a freed or reallocated physical
+    /// page; the loss is visible as a read miss, never as aliased data.
+    /// In fault-tolerant mode a dried-out reprogram retires the victim
+    /// and places the remaining survivors on healthy blocks instead.
     fn collect_garbage(&mut self) -> Result<()> {
         let _zone = gnr_telemetry::zone!("ftl.gc");
         let cfg = self.array.config();
@@ -1576,9 +1611,17 @@ impl FlashController {
         // Buffer the live pages (data + logical number), then erase.
         let first = victim * cfg.pages_per_block;
         let mut survivors: Vec<(usize, Vec<bool>)> = Vec::new();
+        let mut originals: Vec<(usize, PageAddress)> = Vec::new();
         for page in 0..cfg.pages_per_block {
             if let PageState::Live { lpn } = self.meta.state[first + page] {
                 survivors.push((lpn, self.array.read_page(victim, page)?));
+                originals.push((
+                    lpn,
+                    PageAddress {
+                        block: victim,
+                        page,
+                    },
+                ));
                 // The buffered copy supersedes the on-array one. From
                 // here until each survivor is reprogrammed, its map
                 // entry is cleared so a failure cannot leave it
@@ -1589,15 +1632,32 @@ impl FlashController {
         }
         match self.array.erase_block(victim) {
             Ok(()) => {}
-            Err(ArrayError::BlockRetired { .. }) if self.meta.fault_tolerant => {
+            Err(e @ ArrayError::BlockRetired { .. }) => {
                 // The medium refused the erase, so the victim's cells —
-                // and the buffered survivors' originals — are intact.
-                // Retire the victim and place the survivors on healthy
-                // blocks instead.
-                return self.retire_and_relocate(victim, &survivors);
+                // the survivors' originals — are intact. In
+                // fault-tolerant mode retire the victim and place the
+                // survivors on healthy blocks. A survivor still unmapped
+                // after that (no spare left, no page for it, or no fault
+                // tolerance) goes back to its original page, which
+                // nothing reallocates: the victim has no free page until
+                // an erase succeeds, and once retired it has none ever.
+                let placed = if self.meta.fault_tolerant {
+                    self.retire_and_relocate(victim, &survivors)
+                } else {
+                    Err(e)
+                };
+                if placed.is_err() {
+                    for &(lpn, addr) in &originals {
+                        if self.meta.map[lpn].is_none() {
+                            self.commit_live(lpn, addr);
+                        }
+                    }
+                }
+                return placed;
             }
-            // On erase failure the buffered survivors are the only
-            // copies and there is nowhere safe to put them: they
+            // Any other erase failure applied erase pulses, so the
+            // originals are gone and the buffered survivors are the
+            // only copies. There is nowhere safe to put them: they
             // surface as read misses (mappings already cleared), never
             // as aliased data.
             Err(e) => return Err(e),
@@ -2153,6 +2213,67 @@ mod tests {
         for cp in bad {
             let err = FlashController::restore(&gnr, cp).unwrap_err();
             assert!(matches!(err, ArrayError::Snapshot(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_map_that_disagrees_with_page_states() {
+        // Both directions of the map/state agreement, in the metadata
+        // and in a journaled delta: a mapped lpn whose page is not live,
+        // and a live page its lpn does not map to. Either would let a
+        // later write reuse a page that is still referenced.
+        let gnr = CellBackend::gnr(FloatingGateTransistor::mlgnr_cnt_paper());
+        let mut c = FlashController::new(NandConfig {
+            blocks: 3,
+            pages_per_block: 2,
+            page_width: 4,
+        });
+        c.write_logical(0, &[true; 4]).unwrap();
+        c.write_logical(1, &[false; 4]).unwrap();
+        let good = c.checkpoint();
+        assert!(FlashController::restore(&gnr, good.clone()).is_ok());
+        let (slot0, slot1) = (
+            c.slot(c.physical_of(0).unwrap()),
+            c.slot(c.physical_of(1).unwrap()),
+        );
+        let mut bad = vec![good.clone(), good.clone(), good.clone()];
+        bad[0].meta.state[slot1] = PageState::Free;
+        bad[1].meta.map[1] = None;
+        bad[2].deltas.push(MetaDelta::StateSet {
+            slot: slot0,
+            state: PageState::Stale,
+        });
+        for cp in bad {
+            let err = FlashController::restore(&gnr, cp).unwrap_err();
+            assert!(matches!(err, ArrayError::Snapshot(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn gc_keeps_survivors_mapped_when_the_victim_refuses_its_erase() {
+        // Without fault tolerance a refused GC erase surfaces as
+        // `BlockRetired`, and the victim's survivor stays readable in
+        // place: the medium left its cells alone.
+        let mut c = FlashController::new(NandConfig {
+            blocks: 3,
+            pages_per_block: 2,
+            page_width: 8,
+        })
+        .with_faults(Some(FaultPlan {
+            bad_block_after_erases: vec![(0, 1)],
+            ..FaultPlan::seeded(3)
+        }));
+        let data = |lpn: usize| crate::workload::PagePattern::Seeded { seed: lpn as u64 }.expand(8);
+        for lpn in [0, 1, 2, 3, 0, 2] {
+            c.write_logical(lpn, &data(lpn)).unwrap();
+        }
+        assert!(matches!(
+            c.write_logical(3, &data(3)),
+            Err(ArrayError::BlockRetired { block: 0 })
+        ));
+        assert_eq!(c.live_logical_pages(), vec![0, 1, 2, 3]);
+        for lpn in 0..4 {
+            assert_eq!(c.read_logical(lpn).unwrap(), data(lpn), "lpn {lpn}");
         }
     }
 

@@ -4,8 +4,10 @@
 //! retention model (85 °C bake), and scans each copy with the
 //! reliability pipeline under four codecs — no ECC, Hamming SEC-DED,
 //! BCH t = 2 and BCH t = 4 — printing the raw BER and post-ECC UBER
-//! table. The same machinery drives the million-cell sweep
-//! (`cargo bench -p gnr-bench --bench reliability_sweep`).
+//! table. The same machinery drives the wear × bake grid of the
+//! `reliability` experiment (`cargo run --release -p gnr-bench --bin
+//! figures`) and the RBER/UBER scans of perfbench's `endurance`
+//! workload.
 //!
 //! ```text
 //! cargo run --release --example uber_vs_retention

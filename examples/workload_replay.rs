@@ -4,9 +4,10 @@
 //! Builds a small NAND array behind the flash-translation controller,
 //! generates three canonical workload mixes (sequential fill, hot/cold
 //! skew, steady-state GC churn), replays them and prints the latency,
-//! wear and margin trajectories the replayer records. The same
-//! machinery drives the million-cell `workload_replay` bench
-//! (`cargo bench -p gnr-bench --bench workload_replay`).
+//! wear and margin trajectories the replayer records. The repository
+//! benchmark (`perfbench/`) drives the same controller on a
+//! million-cell array, one host op per call (workloads `gc_churn` and
+//! `read_mix`).
 //!
 //! ```text
 //! cargo run --release --example workload_replay

@@ -4,13 +4,16 @@
 //! The engine guarantees this by construction — immutable shared `J(E)`
 //! tables, per-run integration state, order-preserving fan-out — and
 //! these tests pin the guarantee end to end: spec batches against
-//! `TransientSimulator`, and a full 4×4×16 NAND page-program/block-erase
-//! against the same array driven sequentially.
+//! `TransientSimulator`, a full 4×4×16 NAND page-program/block-erase
+//! against the same array driven sequentially, and a controller churn
+//! whose digest must not depend on the worker count.
 
 use gnr_flash::device::FloatingGateTransistor;
 use gnr_flash::engine::BatchSimulator;
 use gnr_flash::transient::{ProgramPulseSpec, TransientSimulator};
+use gnr_flash_array::controller::FlashController;
 use gnr_flash_array::nand::{NandArray, NandConfig};
+use gnr_flash_array::workload::{replay, ReplayOptions, WorkloadTrace};
 use gnr_units::{Charge, Time, Voltage};
 
 fn mixed_specs() -> Vec<ProgramPulseSpec> {
@@ -139,4 +142,56 @@ fn nand_block_erase_parallel_matches_sequential_exactly() {
         parallel.erase_count(0).unwrap(),
         sequential.erase_count(0).unwrap()
     );
+}
+
+/// A full-array program/erase cycle followed by a short GC churn on a
+/// 4×4×16 controller driven by `batch`; returns the controller digest.
+fn churn_digest(batch: BatchSimulator) -> u64 {
+    let config = NandConfig {
+        blocks: 4,
+        pages_per_block: 4,
+        page_width: 16,
+    };
+    let options = ReplayOptions {
+        snapshot_interval: 0,
+        margin_scan: false,
+    };
+    let mut controller = FlashController::over(NandArray::new(config).with_batch(batch));
+    replay(
+        &mut controller,
+        &WorkloadTrace::full_array_cycle(config),
+        &options,
+        &mut (),
+    )
+    .expect("full-array cycle replays");
+    let capacity = controller.logical_capacity();
+    replay(
+        &mut controller,
+        &WorkloadTrace::gc_churn(8, capacity, 0xbead),
+        &options,
+        &mut (),
+    )
+    .expect("gc churn replays");
+    controller.state_digest()
+}
+
+/// Worker count may move wall clock, never state: the parallel executor
+/// under 1-, 2-, 4- and 8-worker pools lands on the sequential digest.
+/// Pools larger than the host's core count still run (OS threads
+/// oversubscribe), so the interleavings are real on any host.
+///
+/// The shim's `install` swaps a process-wide worker count, so the whole
+/// matrix stays in this one test, and no test in this binary asserts a
+/// worker count.
+#[test]
+fn churn_digest_is_invariant_under_worker_count() {
+    let want = churn_digest(BatchSimulator::sequential());
+    for workers in [1usize, 2, 4, 8] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(workers)
+            .build()
+            .expect("pool builds");
+        let got = pool.install(|| churn_digest(BatchSimulator::new()));
+        assert_eq!(got, want, "churn digest diverged under {workers} workers");
+    }
 }

@@ -6,7 +6,8 @@
 //!
 //! The sweep runs under fault injection (a grown-bad block retires and
 //! relocates mid-trace), so retirement, relocation and spare-pool
-//! bookkeeping all cross the power cut through the delta journal.
+//! bookkeeping all cross the power cut through the delta journal — on
+//! every device backend.
 
 use gnr_flash::backend::{BackendKind, CellBackend};
 use gnr_flash_array::controller::{Checkpoint, FlashController};
@@ -46,9 +47,19 @@ fn build_controller(backend: &CellBackend, plan: &FaultPlan) -> FlashController 
 
 #[test]
 fn power_loss_at_every_op_recovers_digest_identical() {
-    let backend = CellBackend::preset(BackendKind::GnrFloatingGate);
+    for kind in [
+        BackendKind::GnrFloatingGate,
+        BackendKind::CntFloatingGate,
+        BackendKind::PcmResistive,
+    ] {
+        power_loss_sweep(&CellBackend::preset(kind));
+    }
+}
+
+fn power_loss_sweep(backend: &CellBackend) {
+    let name = backend.kind().name();
     let capacity = {
-        let probe = FlashController::with_backend(shape(), &backend).with_fault_tolerance(1);
+        let probe = FlashController::with_backend(shape(), backend).with_fault_tolerance(1);
         probe.logical_capacity()
     };
     let source = GcChurnSource::new(capacity, 5 * capacity, 0x5eed);
@@ -57,7 +68,7 @@ fn power_loss_at_every_op_recovers_digest_identical() {
 
     // The uninterrupted reference run, with its digest pinned at every
     // op-clock prefix.
-    let mut reference = build_controller(&backend, &plan);
+    let mut reference = build_controller(backend, &plan);
     let mut prefix_digests = Vec::with_capacity(len + 1);
     prefix_digests.push(reference.state_digest());
     for i in 0..len {
@@ -67,7 +78,7 @@ fn power_loss_at_every_op_recovers_digest_identical() {
     let final_digest = reference.state_digest();
     assert!(
         reference.retired_blocks() >= 1,
-        "the trace must exercise retirement across the cut"
+        "{name}: the trace must exercise retirement across the cut"
     );
 
     // Cut power at every injected op-clock point of the plan.
@@ -78,28 +89,28 @@ fn power_loss_at_every_op_recovers_digest_identical() {
         }
         cuts += 1;
         let outcome = crash_and_recover(
-            &backend,
-            &|| build_controller(&backend, &plan),
+            backend,
+            &|| build_controller(backend, &plan),
             &plan,
             &source,
             crash_op,
         )
-        .unwrap_or_else(|e| panic!("crash at op {crash_op} failed: {e}"));
+        .unwrap_or_else(|e| panic!("{name}: crash at op {crash_op} failed: {e}"));
         assert_eq!(
             outcome.digest_at_crash, *prefix,
-            "running digest diverged before the cut at op {crash_op}"
+            "{name}: running digest diverged before the cut at op {crash_op}"
         );
         assert_eq!(
             outcome.recovered_digest, outcome.digest_at_crash,
-            "recovery lost state at op {crash_op} ({} deltas replayed)",
+            "{name}: recovery lost state at op {crash_op} ({} deltas replayed)",
             outcome.deltas_replayed
         );
         assert_eq!(
             outcome.final_digest, final_digest,
-            "post-recovery replay diverged after the cut at op {crash_op}"
+            "{name}: post-recovery replay diverged after the cut at op {crash_op}"
         );
     }
-    assert_eq!(cuts, len, "the sweep must cut at every op index");
+    assert_eq!(cuts, len, "{name}: the sweep must cut at every op index");
 }
 
 #[test]

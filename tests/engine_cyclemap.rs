@@ -12,10 +12,19 @@
 //! * **Fallback bit-identity** — a query outside the tabulated span
 //!   escapes to the explicit path and must match it bit-for-bit, wear
 //!   included.
+//!
+//! A wall-clock test pins what the maps are for: an array epoch jump
+//! beats explicit cycling by at least 20× in cell-cycles per second.
+
+use std::time::Instant;
 
 use gnr_flash::device::FloatingGateTransistor;
 use gnr_flash::engine::{cycle_once, ChargeBalanceEngine, CycleRecipe};
 use gnr_flash::pulse::SquarePulse;
+use gnr_flash_array::controller::FlashController;
+use gnr_flash_array::ispp::nominal_cycle_recipe;
+use gnr_flash_array::nand::NandConfig;
+use gnr_flash_array::workload::PagePattern;
 use gnr_units::{Time, Voltage};
 use proptest::prelude::*;
 
@@ -133,4 +142,47 @@ fn exact_mode_engines_are_ineligible_for_cycle_maps() {
     let exact = engine().with_mode(gnr_flash::engine::EngineMode::Exact);
     assert!(exact.cycle_map(&recipe()).is_none());
     assert!(engine().cycle_map(&recipe()).is_some());
+}
+
+/// An epoch jump of 1000 composed cycles over a filled 4×4×16
+/// controller must beat explicit pulse-by-pulse cycling (`cycle_once`,
+/// 5 cycles of every cell's charge) by at least 20× in cell-cycles per
+/// second. Composition pays O(log n) lookups per *distinct* charge
+/// instead of O(n · pulses) per cell, so the measured margin is orders
+/// of magnitude above the bar, which keeps this wall-clock test robust
+/// on a loaded host.
+#[test]
+#[allow(clippy::cast_precision_loss)]
+fn epoch_jumps_beat_pulse_by_pulse_cycling_twentyfold() {
+    let config = NandConfig {
+        blocks: 4,
+        pages_per_block: 4,
+        page_width: 16,
+    };
+    let mut controller = FlashController::new(config);
+    for lpn in 0..controller.logical_capacity() {
+        let bits = PagePattern::Seeded { seed: lpn as u64 }.expand(config.page_width);
+        controller.write_logical(lpn, &bits).unwrap();
+    }
+    controller.settle();
+    let recipe = nominal_cycle_recipe().unwrap();
+    // Warm the shared cycle map so the timed jump measures the jump.
+    controller.clone().run_epoch(&recipe, 2).unwrap();
+
+    let engine = engine();
+    let charges = controller.array().population().charge_column().to_vec();
+    let start = Instant::now();
+    for &q0 in &charges {
+        explicit(&engine, &recipe, q0, 5);
+    }
+    let explicit_rate = (charges.len() * 5) as f64 / start.elapsed().as_secs_f64();
+
+    let start = Instant::now();
+    controller.run_epoch(&recipe, 1000).unwrap();
+    let epoch_rate = (config.cells() * 1000) as f64 / start.elapsed().as_secs_f64();
+    let speedup = epoch_rate / explicit_rate;
+    assert!(
+        speedup >= 20.0,
+        "epoch jumps must beat pulse-by-pulse cycling by >= 20x, got {speedup:.1}x"
+    );
 }

@@ -6,7 +6,8 @@
 //! properties the fast path rests on:
 //!
 //! * **Parity** — flow-map final charge matches the exact engine to
-//!   ≤1e-6 relative error across the realistic charge range;
+//!   ≤1e-6 relative error across the realistic charge range, over random
+//!   draws and a fixed amplitude × threshold × width grid;
 //! * **Semigroup/nesting** — `Q(t1+t2; Q0) == Q(t2; Q(t1; Q0))`: two
 //!   chained lookups land where one long lookup lands (what makes ISPP
 //!   ladders, which re-enter the map with interpolated charges,
@@ -181,6 +182,44 @@ proptest! {
                 "cell {i} (vgs {vgs} V, q0 {q0:e} C, dt {dt:e} s): \
                  scalar {want:?} vs batch {got:?}"
             );
+        }
+    }
+}
+
+/// A fixed grid of 5 amplitudes × 5 initial thresholds × 3 pulse widths
+/// held to the ≤1e-6 bar against the converged reference. Every grid
+/// point lies inside the map's span and both engine modes answer it —
+/// one answering while the other rejects would break the `NoTunneling`
+/// contract the flow map shares with exact mode — and the engine's hit
+/// path returns the map's answer verbatim.
+#[test]
+fn flow_map_matches_the_converged_engine_on_a_fixed_grid() {
+    let fast = engine();
+    let reference = reference_engine();
+    let cfc = fast.device().capacitances().cfc().as_farads();
+    for vgs in [13.0, 14.5, 16.0, -15.0, 11.0] {
+        let map = flowmap::cached(&fast, Voltage::from_volts(vgs), Voltage::ZERO);
+        for vt0 in [-0.5, 0.0, 1.0, 2.5, 4.0] {
+            for dt_us in [1.0, 10.0, 100.0] {
+                let at = format!("vgs {vgs} V, vt0 {vt0} V, dt {dt_us} µs");
+                let (q0, dt) = (-vt0 * cfc, dt_us * 1.0e-6);
+                let qf = map
+                    .final_charge(q0, dt)
+                    .unwrap_or_else(|| panic!("{at}: outside the map's span"));
+                let spec = ProgramPulseSpec::program(Voltage::from_volts(vgs))
+                    .with_initial_charge(Charge::from_coulombs(q0))
+                    .with_duration(Time::from_seconds(dt));
+                let (hit, qe) = match (
+                    fast.pulse_final_charge(&spec),
+                    reference.pulse_final_charge(&spec),
+                ) {
+                    (Ok(f), Ok(e)) => (f.as_coulombs(), e.as_coulombs()),
+                    (fast, exact) => panic!("{at}: flow map {fast:?} vs exact {exact:?}"),
+                };
+                assert_eq!(hit, qf, "{at}: the hit path must return the map's answer");
+                let rel = ((qf - qe) / qe.abs().max(1e-30)).abs();
+                assert!(rel <= 1.0e-6, "{at}: flow-map rel err {rel:e}");
+            }
         }
     }
 }

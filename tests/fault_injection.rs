@@ -15,7 +15,7 @@ use gnr_flash::backend::{BackendKind, CellBackend};
 use gnr_flash_array::controller::FlashController;
 use gnr_flash_array::fault::{replay_ops, FaultPlan};
 use gnr_flash_array::nand::NandConfig;
-use gnr_flash_array::workload::{GcChurnSource, PagePattern};
+use gnr_flash_array::workload::{GcChurnSource, PagePattern, TraceSource};
 use gnr_flash_array::ArrayError;
 use proptest::prelude::*;
 
@@ -90,57 +90,128 @@ fn fault_churn_retires_blocks_without_losing_live_pages() {
 
 #[test]
 fn spare_exhaustion_degrades_to_read_only_on_every_backend() {
+    let config = NandConfig {
+        blocks: 4,
+        pages_per_block: 2,
+        page_width: 8,
+    };
+    let capacity = FlashController::new(config)
+        .with_fault_tolerance(1)
+        .logical_capacity();
+    // Each case: the fault plan, a block retired up front (spending the
+    // single spare) and the logical pages written, in order.
+    let cases: Vec<(FaultPlan, Option<usize>, Vec<usize>)> = vec![
+        // Every block grows bad on its first erase: the second
+        // retirement overruns the single spare.
+        (
+            FaultPlan {
+                bad_block_after_erases: (0..config.blocks).map(|b| (b, 1)).collect(),
+                ..FaultPlan::seeded(3)
+            },
+            None,
+            (0..64).map(|i| i % capacity).collect(),
+        ),
+        // The spare is already spent when GC picks block 0 (one live
+        // page, lpn 1) as its victim and the medium refuses the erase:
+        // the survivor's cells are intact, so it must stay readable.
+        (
+            FaultPlan {
+                bad_block_after_erases: vec![(0, 1)],
+                ..FaultPlan::seeded(3)
+            },
+            Some(3),
+            vec![0, 1, 2, 3, 0, 2, 3],
+        ),
+    ];
     for kind in [
         BackendKind::GnrFloatingGate,
         BackendKind::CntFloatingGate,
         BackendKind::PcmResistive,
     ] {
-        let backend = CellBackend::preset(kind);
-        let config = NandConfig {
-            blocks: 4,
-            pages_per_block: 2,
-            page_width: 8,
-        };
-        // Every block grows bad on its first erase: the second
-        // retirement overruns the single spare.
-        let plan = FaultPlan {
-            bad_block_after_erases: (0..config.blocks).map(|b| (b, 1)).collect(),
-            ..FaultPlan::seeded(3)
-        };
-        let mut c = FlashController::with_backend(config, &backend)
-            .with_fault_tolerance(1)
-            .with_faults(Some(plan));
-        let capacity = c.logical_capacity();
+        for (plan, retire_first, lpns) in &cases {
+            let backend = CellBackend::preset(kind);
+            let mut c = FlashController::with_backend(config, &backend)
+                .with_fault_tolerance(1)
+                .with_faults(Some(plan.clone()));
+            if let Some(block) = *retire_first {
+                c.retire_block(block).unwrap();
+            }
 
-        let mut mirror: Vec<Option<Vec<bool>>> = vec![None; capacity];
-        let mut read_only_seen = false;
-        for i in 0..64 {
-            let lpn = i % capacity;
-            let data = PagePattern::Seeded { seed: i as u64 }.expand(config.page_width);
-            match c.write_logical(lpn, &data) {
-                Ok(_) => mirror[lpn] = Some(data),
-                Err(ArrayError::ReadOnly) => {
-                    read_only_seen = true;
-                    break;
+            let mut mirror: Vec<Option<Vec<bool>>> = vec![None; capacity];
+            let mut read_only_seen = false;
+            for (i, &lpn) in lpns.iter().enumerate() {
+                let data = PagePattern::Seeded { seed: i as u64 }.expand(config.page_width);
+                match c.write_logical(lpn, &data) {
+                    Ok(_) => mirror[lpn] = Some(data),
+                    Err(ArrayError::ReadOnly) => {
+                        read_only_seen = true;
+                        break;
+                    }
+                    Err(e) => panic!("{}: unexpected write error: {e}", kind.name()),
                 }
-                Err(e) => panic!("{}: unexpected write error: {e}", kind.name()),
+            }
+            // Degradation is an error, not a panic — and it is sticky.
+            assert!(read_only_seen, "{}: never degraded", kind.name());
+            assert!(c.read_only(), "{}", kind.name());
+            assert!(matches!(
+                c.write_logical(0, &vec![false; config.page_width]),
+                Err(ArrayError::ReadOnly)
+            ));
+            // Reads still succeed after degradation: grown-bad blocks fail
+            // erase, not read, so every committed copy stays reachable.
+            for (lpn, data) in mirror.iter().enumerate() {
+                let Some(data) = data else { continue };
+                assert_eq!(
+                    c.read_logical(lpn).unwrap(),
+                    *data,
+                    "{}: lpn {lpn} unreadable after read-only degradation",
+                    kind.name()
+                );
             }
         }
-        // Degradation is an error, not a panic — and it is sticky.
-        assert!(read_only_seen, "{}: never degraded", kind.name());
-        assert!(c.read_only(), "{}", kind.name());
-        assert!(matches!(
-            c.write_logical(0, &vec![false; config.page_width]),
-            Err(ArrayError::ReadOnly)
-        ));
-        // Reads still succeed after degradation: grown-bad blocks fail
-        // erase, not read, so every committed copy stays reachable.
-        for (lpn, data) in mirror.iter().enumerate() {
-            let Some(data) = data else { continue };
-            assert_eq!(
-                c.read_logical(lpn).unwrap(),
-                *data,
-                "{}: lpn {lpn} unreadable after read-only degradation",
+    }
+}
+
+/// The seeded faulted churn of an 8×4×16 controller with a quarter of
+/// its blocks held as spares — one explicit grown-bad block, 5 % more
+/// growing bad within [2, 8] erases and a 0.5 % program-fail lottery —
+/// keeps every live logical page readable on every device backend.
+#[test]
+fn faulted_churn_keeps_live_pages_readable_on_every_backend() {
+    let config = NandConfig {
+        blocks: 8,
+        pages_per_block: 4,
+        page_width: 16,
+    };
+    let plan = FaultPlan {
+        bad_block_after_erases: vec![(1, 2)],
+        grown_bad_fraction: 0.05,
+        grown_bad_min_erases: 2,
+        grown_bad_max_erases: 8,
+        program_fail_probability: 0.005,
+        ..FaultPlan::seeded(0xfa17_b3c4)
+    };
+    for kind in [
+        BackendKind::GnrFloatingGate,
+        BackendKind::CntFloatingGate,
+        BackendKind::PcmResistive,
+    ] {
+        let mut c = FlashController::with_backend(config, &CellBackend::preset(kind))
+            .with_fault_tolerance(config.blocks / 4)
+            .with_faults(Some(plan.clone()));
+        let capacity = c.logical_capacity();
+        let source = GcChurnSource::new(capacity, 2 * capacity, 0xbead);
+        replay_ops(&mut c, &source, 0, source.len())
+            .unwrap_or_else(|e| panic!("{}: faulted churn failed: {e}", kind.name()));
+        assert!(
+            c.retired_blocks() >= 1,
+            "{}: the explicit grown-bad block must retire",
+            kind.name()
+        );
+        for lpn in c.live_logical_pages() {
+            assert!(
+                c.read_logical(lpn).is_ok(),
+                "{}: live logical page {lpn} unreadable after the faulted churn",
                 kind.name()
             );
         }

@@ -1,6 +1,7 @@
 //! End-to-end tests of the unified telemetry layer over real GC-churn
-//! replays: the acceptance snapshot, journal determinism, and
-//! deterministic (coherent) snapshot reads.
+//! replays: the acceptance snapshot, journal determinism, deterministic
+//! (coherent) snapshot reads, and crash recovery with every
+//! instrumentation site live.
 //!
 //! The registry, zone table, op clock and journal are process-global,
 //! so every test here serializes on one mutex, runs with full
@@ -8,10 +9,12 @@
 
 use std::sync::Mutex;
 
+use gnr_flash::backend::{BackendKind, CellBackend};
 use gnr_flash::telemetry;
 use gnr_flash_array::controller::FlashController;
+use gnr_flash_array::fault::{crash_and_recover, FaultPlan};
 use gnr_flash_array::nand::NandConfig;
-use gnr_flash_array::workload::{replay, ReplayOptions, WorkloadTrace};
+use gnr_flash_array::workload::{replay, GcChurnSource, ReplayOptions, TraceSource, WorkloadTrace};
 
 static TELEMETRY_TESTS: Mutex<()> = Mutex::new(());
 
@@ -137,6 +140,7 @@ fn churn_snapshot_reports_the_acceptance_metrics() {
         "replay.segment",
         "ftl.write_batch",
         "scheduler.execute",
+        "nand.disturb_settle",
         "population.group",
         "engine.pulse_batch",
     ] {
@@ -194,4 +198,40 @@ fn snapshots_are_deterministic_between_operations() {
         serde_json::to_string(&first).unwrap(),
         serde_json::to_string(&second).unwrap()
     );
+}
+
+/// A mid-trace power cut under a retiring fault plan, recovered with
+/// metrics, journal and profiling all on: instrumentation must not
+/// perturb recovery, and the recovery must show up in the counters.
+#[test]
+fn crash_recovery_with_telemetry_on_is_digest_identical() {
+    let _lock = TELEMETRY_TESTS.lock().unwrap();
+    let _flags = instrumented();
+    let config = NandConfig {
+        blocks: 4,
+        pages_per_block: 2,
+        page_width: 8,
+    };
+    let backend = CellBackend::preset(BackendKind::GnrFloatingGate);
+    let build_plain = || {
+        FlashController::with_backend(config, &backend)
+            .with_fault_tolerance(1)
+            .with_crash_consistency(3)
+    };
+    let capacity = build_plain().logical_capacity();
+    let source = GcChurnSource::new(capacity, 5 * capacity, 0x5eed);
+    let plan = FaultPlan {
+        bad_block_after_erases: vec![(2, 2)],
+        ..FaultPlan::seeded(0x00c0_ffee)
+    };
+    let build = || build_plain().with_faults(Some(plan.clone()));
+    let outcome = crash_and_recover(&backend, &build, &plan, &source, source.len() / 2)
+        .expect("crash-and-recover completes");
+    assert_eq!(
+        outcome.recovered_digest, outcome.digest_at_crash,
+        "recovery with telemetry on must be digest-identical"
+    );
+    let snap = telemetry::snapshot();
+    assert_eq!(snap.counter("ftl.power_losses"), Some(1));
+    assert_eq!(snap.counter("ftl.recoveries"), Some(1));
 }
