@@ -535,7 +535,10 @@ impl FlashController {
 
     /// Settles the array ([`NandArray::settle`]): replays every pending
     /// pass-voltage disturb exposure, so `self.array().population()` may
-    /// be read. Changes no result, only when disturb is evaluated.
+    /// be read. Changes no result, only when disturb is evaluated. A
+    /// reader holding only `&FlashController`, such as a
+    /// [`ReplayObserver`](crate::workload::ReplayObserver), reads
+    /// [`NandArray::settled_population`] instead.
     pub fn settle(&mut self) {
         self.array.settle();
     }

@@ -17,6 +17,8 @@
 //! Bit convention: `true` = erased = logic '1'; `false` = programmed =
 //! logic '0' (matching the paper's state naming).
 
+use std::borrow::Cow;
+
 use gnr_flash::backend::CellBackend;
 use gnr_flash::engine::BatchSimulator;
 use gnr_flash::threshold::LogicState;
@@ -213,6 +215,8 @@ impl NandArray {
     }
 
     /// The struct-of-arrays cell state (margin scans, wear analyses).
+    /// Through `&self`, an array that may owe disturb is read with
+    /// [`Self::settled_population`] instead.
     ///
     /// # Panics
     ///
@@ -227,6 +231,22 @@ impl NandArray {
             "NandArray::population on an unsettled array: call settle() first"
         );
         &self.pop
+    }
+
+    /// The settled cell state, the array untouched: the population
+    /// itself when the array is settled ([`Self::is_settled`]), else a
+    /// copy whose charge column has taken every page's pending disturb
+    /// exposures. Like the other `&self` views it reads the same before
+    /// and after [`Self::settle`]; the copy costs one population clone,
+    /// so a caller about to read many times should settle instead.
+    #[must_use]
+    pub fn settled_population(&self) -> Cow<'_, CellPopulation> {
+        if self.is_settled() {
+            return Cow::Borrowed(&self.pop);
+        }
+        let mut pop = self.pop.clone();
+        self.replay_all_pending_into(pop.charge_column_mut());
+        Cow::Owned(pop)
     }
 
     /// Mutable cell-state access — the seam reliability models use to
@@ -244,8 +264,8 @@ impl NandArray {
     /// Call it before reading [`Self::population`]. The result is the
     /// same whenever it is called — settling changes when the disturb
     /// physics is evaluated, never its outcome — so the `&self` views
-    /// ([`Self::state_digest`], [`Self::snapshot_state`], [`Self::cell`])
-    /// read the same before and after it.
+    /// ([`Self::state_digest`], [`Self::snapshot_state`], [`Self::cell`],
+    /// [`Self::settled_population`]) read the same before and after it.
     pub fn settle(&mut self) {
         for block in 0..self.config.blocks {
             self.settle_block(block);
@@ -283,14 +303,7 @@ impl NandArray {
     #[must_use]
     pub fn snapshot_state(&self) -> ArraySnapshot {
         let mut population = self.pop.snapshot();
-        let width = self.config.page_width;
-        for block in 0..self.config.blocks {
-            for page in 0..self.config.pages_per_block {
-                let base = self.cell_index(block, page, 0);
-                let charges = &mut population.charge[base..base + width];
-                self.replay_pending_into(block, page, base, charges);
-            }
-        }
+        self.replay_all_pending_into(&mut population.charge);
         ArraySnapshot {
             config: self.config,
             population,
@@ -904,6 +917,18 @@ impl NandArray {
     fn replay_pending_into(&self, block: usize, page: usize, first: usize, charges: &mut [f64]) {
         let pending = self.ledger.pending(block, page, &self.bias);
         self.pop.replay_disturb_into(first, charges, pending);
+    }
+
+    /// [`Self::replay_pending_into`] for every page: `charges` is a copy
+    /// of the whole charge column.
+    fn replay_all_pending_into(&self, charges: &mut [f64]) {
+        let width = self.config.page_width;
+        for block in 0..self.config.blocks {
+            for page in 0..self.config.pages_per_block {
+                let base = self.cell_index(block, page, 0);
+                self.replay_pending_into(block, page, base, &mut charges[base..base + width]);
+            }
+        }
     }
 
     fn page_slot(&self, block: usize, page: usize) -> Result<usize> {

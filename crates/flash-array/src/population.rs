@@ -616,6 +616,12 @@ impl CellPopulation {
         &self.charge
     }
 
+    /// The stored-charge column, writable — for the array's settled
+    /// copies, which replay pending disturb into it.
+    pub(crate) fn charge_column_mut(&mut self) -> &mut [f64] {
+        &mut self.charge
+    }
+
     /// The injected-charge wear column (C per cell) — the oxide-fluence
     /// input of trap-noise and endurance models.
     #[must_use]
@@ -1026,13 +1032,21 @@ impl CellPopulation {
         ))
     }
 
-    /// Summary of the injected-charge wear column (C per cell).
+    /// Mean injected-charge wear per cell (C) — the oxide-fluence axis
+    /// of wear trajectories. No copy and no sort: the same `sum / n` as
+    /// the mean of a [`Summary`] of the column, bit for bit.
     ///
     /// # Errors
     ///
-    /// Statistics errors (empty populations cannot be constructed).
-    pub fn wear_summary(&self) -> Result<Summary> {
-        Summary::from_samples(&self.injected_charge).map_err(|e| ArrayError::Device(e.into()))
+    /// A statistics error when a cell's wear is not finite.
+    pub fn mean_injected_charge(&self) -> Result<f64> {
+        let wear = &self.injected_charge;
+        if wear.iter().any(|w| !w.is_finite()) {
+            let e = gnr_numerics::NumericsError::InvalidInput("samples must be finite".into());
+            return Err(ArrayError::Device(e.into()));
+        }
+        #[allow(clippy::cast_precision_loss)]
+        Ok(wear.iter().sum::<f64>() / wear.len() as f64)
     }
 
     /// Groups `indices` by full cell state (variant, charge bits, wear

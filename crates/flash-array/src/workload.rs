@@ -434,8 +434,16 @@ pub struct WorkloadReport {
 /// workload layer depending on them.
 pub trait ReplayObserver {
     /// Observes the controller after `op_index` operations. The replayer
-    /// and [`CampaignRunner::step`] settle the array first
-    /// ([`FlashController::settle`]), so the population may be read.
+    /// settles the array first ([`FlashController::settle`]), and so
+    /// does [`CampaignRunner::step`] at the end of each window; inside a
+    /// window the array may still owe pass-voltage disturb. An observer
+    /// that reads cells takes [`NandArray::settled_population`]
+    /// (or another `&self` view such as
+    /// [`NandArray::state_digest`]), which is correct at any cadence and
+    /// free on a settled array.
+    ///
+    /// [`NandArray::settled_population`]: crate::nand::NandArray::settled_population
+    /// [`NandArray::state_digest`]: crate::nand::NandArray::state_digest
     ///
     /// # Errors
     ///
@@ -765,7 +773,9 @@ pub struct EnduranceCampaign {
     pub window_overwrites: usize,
     /// Ops per window segment — the observer cadence *and* the
     /// checkpoint granularity inside a window (`0` = the whole window
-    /// is one segment).
+    /// is one segment). The array is settled only after a window's last
+    /// segment; earlier segments leave their disturb pending, so a
+    /// short segment costs no more than the writes it runs.
     pub window_segment: usize,
     /// Base seed; each round's window stream reseeds from it.
     pub window_seed: u64,
@@ -876,8 +886,11 @@ impl<'a> CampaignRunner<'a> {
     }
 
     /// Advances one checkpointable unit: one epoch chunk, or one window
-    /// segment followed by one observer call. Returns `None` when the
-    /// campaign is already done.
+    /// segment followed by one observer call. A window's last segment
+    /// settles the array before its observer call, so the next epoch
+    /// and a window-end observer find it settled; earlier segments
+    /// leave their disturb pending for the pages' next read or program.
+    /// Returns `None` when the campaign is already done.
     ///
     /// # Errors
     ///
@@ -927,9 +940,12 @@ impl<'a> CampaignRunner<'a> {
                 // records trajectories through its observer instead.
                 let (mut wl, mut rl) = (Vec::new(), Vec::new());
                 execute_segment(controller, &source, ops_done, end, &mut wl, &mut rl)?;
-                controller.settle();
+                let window_done = end >= total;
+                if window_done {
+                    controller.settle();
+                }
                 observer.observe(controller, round * total + end)?;
-                if end >= total {
+                if window_done {
                     self.state.round += 1;
                     self.state.phase = CampaignPhase::Epoch { cycles_done: 0 };
                 } else {
@@ -969,7 +985,6 @@ fn take_snapshot(
     margin_scan: bool,
 ) -> Result<WorkloadSnapshot> {
     let pop = controller.array().population();
-    let wear_summary = pop.wear_summary()?;
     Ok(WorkloadSnapshot {
         op_index,
         wear: controller.wear_stats()?,
@@ -979,7 +994,7 @@ fn take_snapshot(
         } else {
             None
         },
-        mean_injected_charge: wear_summary.mean,
+        mean_injected_charge: pop.mean_injected_charge()?,
     })
 }
 
@@ -1213,7 +1228,70 @@ mod tests {
         // The epoch wear landed in the population's closed-form counters.
         let pop = controller.array().population();
         assert!(pop.program_ops_column().iter().all(|&ops| ops >= 10));
-        assert!(pop.wear_summary().unwrap().mean > 0.0);
+        assert!(pop.mean_injected_charge().unwrap() > 0.0);
+    }
+
+    /// One-write window steps under an observer that reads nothing leave
+    /// each write's disturb pending on its own block only, and settle the
+    /// array once, at the window's end — bit-identical to a twin settled
+    /// after every step.
+    #[test]
+    fn unobserved_window_steps_settle_only_at_window_end() {
+        let campaign = EnduranceCampaign {
+            rounds: 2,
+            cycles_per_round: 3,
+            epoch_chunk: 0,
+            recipe: crate::ispp::nominal_cycle_recipe().unwrap(),
+            window_overwrites: 10,
+            window_segment: 1,
+            window_seed: 11,
+        };
+        let config = NandConfig {
+            blocks: 4,
+            pages_per_block: 4,
+            page_width: 8,
+        };
+        let mut lazy = FlashController::new(config);
+        let mut eager = FlashController::new(config);
+        let mut lazy_runner = CampaignRunner::new(&campaign);
+        let mut eager_runner = CampaignRunner::new(&campaign);
+        // Blocks holding a programmed page at some step of this window.
+        let mut written = vec![false; config.blocks];
+        let mut mid_window_steps = 0;
+        while !lazy_runner.is_done() {
+            let in_window = matches!(lazy_runner.state().phase, CampaignPhase::Window { .. });
+            lazy_runner.step(&mut lazy, &mut ()).unwrap();
+            eager_runner.step(&mut eager, &mut ()).unwrap();
+            eager.settle();
+            assert_eq!(lazy.state_digest(), eager.state_digest());
+
+            let array = lazy.array();
+            if !in_window {
+                written.fill(false);
+                continue;
+            }
+            for (block, seen) in written.iter_mut().enumerate() {
+                *seen |=
+                    (0..config.pages_per_block).any(|p| !array.is_page_erased(block, p).unwrap());
+            }
+            if matches!(lazy_runner.state().phase, CampaignPhase::Epoch { .. }) {
+                assert!(array.is_settled(), "a window ends settled");
+                continue;
+            }
+            mid_window_steps += 1;
+            assert!(
+                !array.is_settled(),
+                "mid-window step {mid_window_steps} settled"
+            );
+            for (block, &seen) in written.iter().enumerate() {
+                assert!(
+                    seen || array.disturb_log_len(block) == 0,
+                    "block {block} owes disturb but was not written this window"
+                );
+            }
+        }
+        let window_ops = campaign.window_source(lazy.logical_capacity(), 0).len();
+        assert_eq!(mid_window_steps, 2 * (window_ops - 1));
     }
 
     #[test]

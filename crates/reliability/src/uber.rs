@@ -19,6 +19,7 @@
 
 use gnr_flash_array::controller::FlashController;
 use gnr_flash_array::nand::NandArray;
+use gnr_flash_array::population::CellPopulation;
 use gnr_flash_array::workload::ReplayObserver;
 use gnr_flash_array::ArrayError;
 
@@ -63,8 +64,34 @@ pub struct ReliabilityPoint {
 ///
 /// [`ReliabilityError::CodeTooWide`] when the codec does not fit the
 /// page width; statistics errors propagate as array errors.
+///
+/// # Panics
+///
+/// Panics unless the array is settled ([`NandArray::population`]).
 pub fn scan_array(
     array: &NandArray,
+    truth: &[bool],
+    codec: &dyn PageCodec,
+    ber: &BerModel,
+    reference: Option<f64>,
+    pass: u64,
+) -> Result<ReliabilityPoint> {
+    scan(
+        array,
+        array.population(),
+        truth,
+        codec,
+        ber,
+        reference,
+        pass,
+    )
+}
+
+/// [`scan_array`] over `pop`, the settled cells of `array` (which
+/// supplies the shape and the batch executor).
+fn scan(
+    array: &NandArray,
+    pop: &CellPopulation,
     truth: &[bool],
     codec: &dyn PageCodec,
     ber: &BerModel,
@@ -81,7 +108,6 @@ pub fn scan_array(
             page_width: width,
         });
     }
-    let pop = array.population();
     if truth.len() != pop.len() {
         return Err(ReliabilityError::WrongLength {
             what: "truth column",
@@ -144,7 +170,9 @@ pub fn scan_array(
         uber: residual_errors as f64 / coded_bits as f64,
         decode,
         reference,
-        mean_injected_charge: pop.wear_summary().map_err(ReliabilityError::Array)?.mean,
+        mean_injected_charge: pop
+            .mean_injected_charge()
+            .map_err(ReliabilityError::Array)?,
     })
 }
 
@@ -152,6 +180,9 @@ pub fn scan_array(
 /// the replayer's snapshot cadence: every observation scans the whole
 /// array against its *current* stored data, so the trajectory tracks how
 /// wear and disturb accumulated by the trace move both error rates.
+/// Each observation reads one [`NandArray::settled_population`] view for
+/// both the stored data and the scan, so it is exact at any cadence,
+/// including mid-window campaign steps whose disturb is still pending.
 pub struct ReliabilityObserver {
     codec: Box<dyn PageCodec>,
     ber: BerModel,
@@ -221,11 +252,13 @@ impl ReplayObserver for ReliabilityObserver {
         op_index: usize,
     ) -> gnr_flash_array::Result<()> {
         let array = controller.array();
-        let truth = self.ber.noiseless_bits(array.population(), array.batch());
+        let pop = array.settled_population();
+        let truth = self.ber.noiseless_bits(&pop, array.batch());
         let pass = self.next_pass;
         self.next_pass += 1;
-        let mut point = scan_array(
+        let mut point = scan(
             array,
+            &pop,
             &truth,
             self.codec.as_ref(),
             &self.ber,

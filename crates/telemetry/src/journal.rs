@@ -273,6 +273,7 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
+        let _globals = crate::lock_globals();
         crate::set_enabled(true);
         clear();
         set_capacity(4);

@@ -187,12 +187,24 @@ macro_rules! zone {
     }};
 }
 
+/// Serialises this crate's unit tests that set process-global state —
+/// the enable flags, the op clock, the journal capacity — so that one
+/// test cannot flip a flag in the middle of another.
+#[cfg(test)]
+pub(crate) fn lock_globals() -> std::sync::MutexGuard<'static, ()> {
+    static GLOBALS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GLOBALS_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn op_clock_round_trips() {
+        let _globals = lock_globals();
         set_op_index(42);
         assert_eq!(op_index(), 42);
         set_op_index(0);

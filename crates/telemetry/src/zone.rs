@@ -138,6 +138,7 @@ mod tests {
 
     #[test]
     fn nested_zones_split_self_and_total_time() {
+        let _globals = crate::lock_globals();
         crate::set_profiling(true);
         reset_zones();
         {
@@ -165,6 +166,7 @@ mod tests {
 
     #[test]
     fn disabled_guard_is_inert() {
+        let _globals = crate::lock_globals();
         crate::set_profiling(false);
         let guard = crate::zone!("test.zone.disabled");
         assert!(guard.inner.is_none());

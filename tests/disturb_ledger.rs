@@ -10,8 +10,10 @@
 //! program, read and erase — must sense identical bits and leave
 //! bitwise-equal charge columns, on the GNR, CNT and PCM backends, with
 //! and without per-cell variation. The `&self` views (`state_digest`,
-//! `snapshot_state`, `cell`) must read the same before and after
-//! `settle()`, and no block's log may outgrow its bound.
+//! `snapshot_state`, `cell`, `settled_population`) must read the same
+//! before and after `settle()`, and no block's log may outgrow its bound.
+
+use std::borrow::Cow;
 
 use gnr_flash::backend::{BackendKind, CellBackend};
 use gnr_flash::engine::BatchSimulator;
@@ -343,6 +345,25 @@ fn check_settled(mut array: NandArray, eager: &Eager, context: &str) {
         reference,
         "{context}: unsettled snapshot vs eager"
     );
+    let logs: Vec<usize> = (0..CONFIG.blocks)
+        .map(|b| array.disturb_log_len(b))
+        .collect();
+    let view = array.settled_population();
+    assert_eq!(
+        matches!(view, Cow::Borrowed(_)),
+        array.is_settled(),
+        "{context}: the view copies exactly when disturb is pending"
+    );
+    assert_eq!(
+        columns(&view.snapshot()),
+        reference,
+        "{context}: settled view vs eager"
+    );
+    drop(view);
+    let logs_after: Vec<usize> = (0..CONFIG.blocks)
+        .map(|b| array.disturb_log_len(b))
+        .collect();
+    assert_eq!(logs_after, logs, "{context}: the view moved a log");
 
     array.settle();
     assert!(array.is_settled());
