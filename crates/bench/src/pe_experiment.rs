@@ -19,7 +19,7 @@ use gnr_flash::experiments::{Artifact, Experiment, ExperimentContext, Experiment
 use gnr_flash_array::ispp::{IsppProgrammer, IsppReport};
 use gnr_flash_array::nand::{NandArray, NandConfig};
 use gnr_flash_array::pe::{AdaptiveIspp, EraseVerify, SoftProgram};
-use gnr_flash_array::population::{CellPopulation, PopulationVariation};
+use gnr_flash_array::population::{CellOutcomes, CellPopulation, PopulationVariation};
 use serde_json::Value;
 
 use crate::array_error;
@@ -60,11 +60,12 @@ impl Experiment for PeOperationsExperiment {
         let adaptive =
             AdaptiveIspp::nominal().program_cells(&mut varied(ISPP_CELLS)?, &indices, &exact);
         let target = IsppProgrammer::nominal().target().as_volts();
-        let means = |reports: Vec<gnr_flash_array::Result<IsppReport>>| {
+        let means = |reports: CellOutcomes<IsppReport>| {
             let reports = reports
-                .into_iter()
-                .collect::<gnr_flash_array::Result<Vec<_>>>()
-                .map_err(array_error)?;
+                .iter()
+                .map(Result::as_ref)
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| array_error(e.clone()))?;
             let n = reports.len() as f64;
             let pulses = reports.iter().map(|r| r.pulses as f64).sum::<f64>() / n;
             let overshoot = reports

@@ -110,15 +110,6 @@ impl FlashCell {
         cell
     }
 
-    /// Re-points an existing cell at new raw state — the scratch-reuse
-    /// path of the population layer. Bit-identical to [`Self::restore`]
-    /// around the same device: the read setup is a construction
-    /// constant, so only the charge and counters change.
-    pub(crate) fn reset(&mut self, charge: Charge, stats: CellStats) {
-        self.charge = charge;
-        self.stats = stats;
-    }
-
     /// The conventional-silicon baseline cell.
     #[must_use]
     pub fn silicon_cell() -> Self {

@@ -164,9 +164,7 @@ pub fn program_cell(
 ) -> Result<()> {
     levels.validate();
     if target.rank() <= read_cell(pop, index, levels)?.rank() {
-        pop.erase_cells_default(&[index], batch)
-            .pop()
-            .expect("one result per index")?;
+        pop.erase_cells_default(&[index], batch).check(..)?;
     }
     let level = match target {
         MlcState::Erased11 => return Ok(()),
@@ -175,8 +173,7 @@ pub fn program_cell(
         MlcState::Level01 => levels.verify[2],
     };
     pop.program_cells(&placement_programmer(level), &[index], batch)
-        .pop()
-        .expect("one result per index")?;
+        .check(..)?;
     let vt = pop.vt_shift(index)?.as_volts();
     let ceiling = match target {
         MlcState::Erased11 => unreachable!("handled above"),

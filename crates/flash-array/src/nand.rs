@@ -456,6 +456,7 @@ impl NandArray {
     /// [`ArrayError::WrongPageWidth`], [`ArrayError::PageNotErased`],
     /// address errors, and ISPP verify failures.
     pub fn program_page(&mut self, block: usize, page: usize, bits: &[bool]) -> Result<()> {
+        let _zone = gnr_telemetry::zone!("nand.program_page");
         if bits.len() != self.config.page_width {
             return Err(ArrayError::WrongPageWidth {
                 got: bits.len(),
@@ -486,9 +487,7 @@ impl NandArray {
         // propagating the first error.
         self.page_erased[slot] = false;
         self.log_exposure(block, page, true);
-        for report in reports {
-            report?;
-        }
+        reports.check(..)?;
         // Injected program-status failure: the pulses landed (the page
         // is consumed, disturb happened) but the device reports fail —
         // keyed on the block's erase generation so the decision is
@@ -511,6 +510,7 @@ impl NandArray {
     ///
     /// Address errors.
     pub fn read_page(&mut self, block: usize, page: usize) -> Result<Vec<bool>> {
+        let _zone = gnr_telemetry::zone!("nand.read_page");
         self.page_slot(block, page)?;
         self.settle_page(block, page);
         let base = self.cell_index(block, page, 0);
@@ -539,6 +539,7 @@ impl NandArray {
     ///
     /// Address errors and ISPP verify failures.
     pub fn erase_block(&mut self, block: usize) -> Result<()> {
+        let _zone = gnr_telemetry::zone!("nand.erase_block");
         if block >= self.config.blocks {
             return Err(ArrayError::AddressOutOfRange {
                 kind: "block",
@@ -575,9 +576,7 @@ impl NandArray {
         // error propagates; `page_erased` stays false on failure, which
         // forces a retry before the pages can be programmed again.
         self.erase_count[block] += 1;
-        for result in results {
-            result?;
-        }
+        results.check(..)?;
         let first = block * self.config.pages_per_block;
         self.page_erased[first..first + self.config.pages_per_block].fill(true);
         Ok(())
@@ -600,6 +599,7 @@ impl NandArray {
     /// is the scheduler's responsibility; merging same-block work would
     /// silently reorder disturb).
     pub fn program_pages_multi(&mut self, jobs: &[(usize, usize, &[bool])]) -> Vec<Result<()>> {
+        let _zone = gnr_telemetry::zone!("nand.program_page");
         assert_distinct_blocks(jobs.iter().map(|&(b, ..)| b));
         let width = self.config.page_width;
         let mut results: Vec<Option<Result<()>>> = Vec::with_capacity(jobs.len());
@@ -649,13 +649,7 @@ impl NandArray {
             let slot = self.page_slot(block, page).expect("validated above");
             self.page_erased[slot] = false;
             self.log_exposure(block, page, true);
-            let mut outcome = Ok(());
-            for report in &reports[start..end] {
-                if let Err(e) = report {
-                    outcome = Err(e.clone());
-                    break;
-                }
-            }
+            let mut outcome = reports.check(start..end);
             // Same injected program-status check as the per-op path —
             // merged rounds must stay bit-identical to sequential calls.
             if outcome.is_ok()
@@ -684,6 +678,7 @@ impl NandArray {
     /// Panics when two pages share a block (see
     /// [`Self::program_pages_multi`]).
     pub fn read_pages_multi(&mut self, pages: &[(usize, usize)]) -> Vec<Result<Vec<bool>>> {
+        let _zone = gnr_telemetry::zone!("nand.read_page");
         assert_distinct_blocks(pages.iter().map(|&(b, _)| b));
         let width = self.config.page_width;
         let mut results: Vec<Option<Result<Vec<bool>>>> = Vec::with_capacity(pages.len());
@@ -730,6 +725,7 @@ impl NandArray {
     ///
     /// Panics on duplicate block indices.
     pub fn erase_blocks_multi(&mut self, blocks: &[usize]) -> Vec<Result<()>> {
+        let _zone = gnr_telemetry::zone!("nand.erase_block");
         assert_distinct_blocks(blocks.iter().copied());
         let block_cells = self.config.pages_per_block * self.config.page_width;
         let mut results: Vec<Option<Result<()>>> = Vec::with_capacity(blocks.len());
@@ -775,13 +771,7 @@ impl NandArray {
                 continue;
             };
             self.erase_count[block] += 1;
-            let mut outcome = Ok(());
-            for r in &cell_results[start..end] {
-                if let Err(e) = r {
-                    outcome = Err(e.clone());
-                    break;
-                }
-            }
+            let outcome = cell_results.check(start..end);
             if outcome.is_ok() {
                 let first = block * self.config.pages_per_block;
                 self.page_erased[first..first + self.config.pages_per_block].fill(true);

@@ -23,7 +23,7 @@ use gnr_units::{Time, Voltage};
 use crate::cell::FlashCell;
 use crate::column::{GroupState, PulseColumns};
 use crate::ispp::IsppReport;
-use crate::population::CellPopulation;
+use crate::population::{CellOutcomes, CellPopulation};
 use crate::{ArrayError, Result};
 
 /// FN charging self-limits: at an unchanged step the next ISPP rung
@@ -234,13 +234,13 @@ impl AdaptiveIspp {
 
     /// Programs many cells of a population (grouped by distinct state,
     /// driven columnar — the same machinery as the fixed-ladder path,
-    /// so results are index-aligned and bit-deterministic).
+    /// so results are position-aligned and bit-deterministic).
     pub fn program_cells(
         &self,
         pop: &mut CellPopulation,
         indices: &[usize],
         batch: &BatchSimulator,
-    ) -> Vec<Result<IsppReport>> {
+    ) -> CellOutcomes<IsppReport> {
         pop.run_columnar(indices, batch, |cols, states| {
             let members: Vec<usize> = (0..states.len()).collect();
             self.program_column(cols, states, &members)
@@ -475,9 +475,7 @@ pub fn erase_verify_cells(
         // cells included — that is what digs the over-erased tail the
         // soft-program stage exists to fix.
         let pulse = SquarePulse::new(Voltage::from_volts(amplitude), spec.width);
-        for result in pop.apply_pulse_cells(indices, pulse, batch) {
-            result?;
-        }
+        pop.apply_pulse_cells(indices, pulse, batch).check(..)?;
         erase_pulses += 1;
         amplitude = (amplitude - spec.step.as_volts()).max(spec.max_amplitude.as_volts());
     }
@@ -497,9 +495,8 @@ pub fn erase_verify_cells(
             let members: Vec<usize> = (0..states.len()).collect();
             soft.compact_column(cols, states, &members)
         });
-        for result in results {
-            soft_pulses += result?;
-        }
+        results.check(..)?;
+        soft_pulses = results.iter().flatten().sum();
     }
     Ok(BlockEraseReport {
         erase_pulses,
@@ -576,8 +573,8 @@ mod tests {
         // worst case for collective pulsing (fresh cells over-erase
         // while programmed cells catch up).
         let programmer = IsppProgrammer::nominal();
-        for r in pop.program_cells(&programmer, &[0, 1, 2, 3], &batch) {
-            r.unwrap();
+        for r in pop.program_cells(&programmer, &[0, 1, 2, 3], &batch).iter() {
+            r.as_ref().unwrap();
         }
         let indices: Vec<usize> = (0..8).collect();
         let report = erase_verify_cells(
@@ -636,8 +633,8 @@ mod tests {
             SquarePulse::new(Voltage::from_volts(-15.0), Time::from_microseconds(300.0));
 
         let mut pop = CellPopulation::paper(2);
-        for r in pop.apply_pulse_cells(&[0, 1], deep_erase, &batch) {
-            r.unwrap();
+        for r in pop.apply_pulse_cells(&[0, 1], deep_erase, &batch).iter() {
+            r.as_ref().unwrap();
         }
         let results = pop.run_columnar(&[0, 1], &batch, |cols, states| {
             let members: Vec<usize> = (0..states.len()).collect();
@@ -666,8 +663,8 @@ mod tests {
         let mut pop = CellPopulation::paper(2);
         let batch = BatchSimulator::sequential();
         let programmer = IsppProgrammer::nominal();
-        for r in pop.program_cells(&programmer, &[0, 1], &batch) {
-            r.unwrap();
+        for r in pop.program_cells(&programmer, &[0, 1], &batch).iter() {
+            r.as_ref().unwrap();
         }
         // An erase too weak to move the cells in one allowed loop.
         let spec = EraseVerify {

@@ -22,6 +22,12 @@
 //! expand them back into per-cell columns. A million-cell NAND array is
 //! ~36 MB of state instead of gigabytes of cloned device structs.
 //!
+//! Each grouped op adds a transient of one group id (8 B) per listed
+//! cell plus one result per distinct state group — the pair a
+//! [`CellOutcomes`] holds, lending every member its group's result by
+//! reference. A 1M-cell epoch jump so costs 8 MB of group ids, not a
+//! 48 MB column of cloned per-cell results.
+//!
 //! # Determinism and parity
 //!
 //! Simulation ops (`program_cells`, `erase_block_cells`, pulse and
@@ -52,13 +58,9 @@
 //! block and replays a page's pending ones, once per distinct
 //! `(variant, charge)` state, only when something observes the page
 //! (see `replay_disturb` below and [`crate::disturb`]).
-//! Arbitrary *closures* (the generic `run_grouped` path) keep the scalar
-//! per-group [`FlashCell`] loop — an opaque `Fn(&mut FlashCell, ...)`
-//! cannot be batched — but reuse one scratch cell + engine per variant
-//! per chunk instead of rebuilding them per group.
 
 use std::collections::HashMap;
-use std::ops::Range;
+use std::ops::{Range, RangeBounds};
 use std::sync::Arc;
 
 use gnr_flash::backend::{BackendKind, CellBackend, PcmDevice};
@@ -236,16 +238,66 @@ where
     replays
 }
 
-/// Outcome of one representative simulation shared by a state group:
-/// the *absolute* post-op cell state. Absolute (not delta) write-back is
-/// what keeps the grouped path bit-identical to a dedicated per-cell
-/// loop — a delta would re-associate the wear accumulation
-/// (`w + (d₁ + d₂)` instead of `(w + d₁) + d₂`) and drift in the last
-/// ulp over multi-pulse operations.
-struct GroupOutcome<R> {
-    charge: f64,
-    stats: CellStats,
-    result: Result<R>,
+/// Per-cell results of one grouped op, stored once per state group.
+///
+/// Every member of a group ran the same simulation from the same state,
+/// so the group's result *is* each member's result: the outcome keeps
+/// one result per group plus each listed cell's group, and lends a
+/// cell its group's result by reference. Positions are positions in
+/// the op's index list, not population indices.
+#[derive(Debug)]
+pub struct CellOutcomes<R> {
+    /// Group of each listed cell, in input order.
+    group_of: Vec<usize>,
+    /// One result per group.
+    results: Vec<Result<R>>,
+}
+
+impl<R> CellOutcomes<R> {
+    /// Number of listed cells.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.group_of.len()
+    }
+
+    /// `true` when the op listed no cells.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.group_of.is_empty()
+    }
+
+    /// Result of the listed cell at position `pos`.
+    #[must_use]
+    pub fn get(&self, pos: usize) -> Option<&Result<R>> {
+        self.group_of.get(pos).map(|&g| &self.results[g])
+    }
+
+    /// Per-cell results in input order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &Result<R>> + '_ {
+        self.group_of.iter().map(|&g| &self.results[g])
+    }
+
+    /// The status of the listed cells at positions `cells`: their first
+    /// error in input order — what a per-cell loop over that span
+    /// returns when it stops at its first failure — or `Ok(())`.
+    ///
+    /// # Errors
+    ///
+    /// A clone of the span's first error.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cells` runs past [`Self::len`].
+    pub fn check(&self, cells: impl RangeBounds<usize>) -> Result<()> {
+        let span = &self.group_of[(cells.start_bound().cloned(), cells.end_bound().cloned())];
+        // The common case costs one pass over the groups, not the cells.
+        if self.results.iter().all(Result::is_ok) {
+            return Ok(());
+        }
+        span.iter()
+            .find_map(|&g| self.results[g].as_ref().err())
+            .map_or(Ok(()), |e| Err(e.clone()))
+    }
 }
 
 /// Full-state grouping key of [`CellPopulation::group_states`]:
@@ -791,13 +843,13 @@ impl CellPopulation {
     ///
     /// # Errors
     ///
-    /// Per-cell results, index-aligned with `indices`.
+    /// Per-cell results, position-aligned with `indices`.
     pub fn apply_pulse_cells(
         &mut self,
         indices: &[usize],
         pulse: SquarePulse,
         batch: &BatchSimulator,
-    ) -> Vec<Result<()>> {
+    ) -> CellOutcomes<()> {
         self.run_columnar(indices, batch, |cols, states| {
             let jobs: Vec<(usize, SquarePulse)> = (0..states.len()).map(|g| (g, pulse)).collect();
             cols.apply(states, &jobs)
@@ -806,13 +858,14 @@ impl CellPopulation {
 
     /// Runs one full ISPP verify ladder per listed cell (grouped,
     /// columnar: every rung is one sorted flow-map column over the
-    /// still-active groups). Index-aligned per-cell reports.
+    /// still-active groups). Per-cell reports, position-aligned with
+    /// `indices`.
     pub fn program_cells(
         &mut self,
         programmer: &IsppProgrammer,
         indices: &[usize],
         batch: &BatchSimulator,
-    ) -> Vec<Result<IsppReport>> {
+    ) -> CellOutcomes<IsppReport> {
         self.run_columnar(indices, batch, |cols, states| {
             let members: Vec<usize> = (0..states.len()).collect();
             programmer.program_column(cols, states, &members)
@@ -830,7 +883,7 @@ impl CellPopulation {
         already_erased_target: Voltage,
         indices: &[usize],
         batch: &BatchSimulator,
-    ) -> Vec<Result<()>> {
+    ) -> CellOutcomes<()> {
         let target = already_erased_target.as_volts();
         self.run_columnar(indices, batch, |cols, states| {
             let (mut erased, mut laddered) = (Vec::new(), Vec::new());
@@ -861,7 +914,7 @@ impl CellPopulation {
         &mut self,
         indices: &[usize],
         batch: &BatchSimulator,
-    ) -> Vec<Result<()>> {
+    ) -> CellOutcomes<()> {
         self.run_columnar(indices, batch, |cols, states| {
             let members: Vec<usize> = (0..states.len()).collect();
             cols.erase_default(states, &members)
@@ -1050,8 +1103,8 @@ impl CellPopulation {
     }
 
     /// Groups `indices` by full cell state (variant, charge bits, wear
-    /// counters) — the shared front half of [`Self::run_grouped`] and
-    /// [`Self::run_columnar`]. Returns each index's group plus one
+    /// counters) — the shared front half of [`Self::run_columnar`] and
+    /// [`Self::run_epoch`]. Returns each index's group plus one
     /// [`GroupState`] representative per group. The key is
     /// [`GroupKey`]: `(variant, charge, injected charge, program ops,
     /// erase ops)` with the floats as exact bit patterns.
@@ -1107,23 +1160,20 @@ impl CellPopulation {
         (group_of, states)
     }
 
-    /// Writes the absolute post-op group states back to every member and
-    /// expands per-group results to per-index results in input order.
-    fn write_back<R: Clone>(
-        &mut self,
-        indices: &[usize],
-        group_of: Vec<usize>,
-        states: &[GroupState],
-        results: &[Result<R>],
-    ) -> Vec<Result<R>> {
-        for (pos, &i) in indices.iter().enumerate() {
-            let s = &states[group_of[pos]];
+    /// Writes the absolute post-op group states back to every member.
+    /// Absolute (not delta) write-back is what keeps the grouped path
+    /// bit-identical to a dedicated per-cell loop — a delta would
+    /// re-associate the wear accumulation (`w + (d₁ + d₂)` instead of
+    /// `(w + d₁) + d₂`) and drift in the last ulp over multi-pulse
+    /// operations.
+    fn write_back(&mut self, indices: &[usize], group_of: &[usize], states: &[GroupState]) {
+        for (&i, &g) in indices.iter().zip(group_of) {
+            let s = &states[g];
             self.charge[i] = s.charge;
             self.injected_charge[i] = s.stats.injected_charge;
             self.program_ops[i] = s.stats.program_ops;
             self.erase_ops[i] = s.stats.erase_ops;
         }
-        group_of.into_iter().map(|g| results[g].clone()).collect()
     }
 
     /// Runs a *columnar* driver over the state groups of `indices`: the
@@ -1131,8 +1181,9 @@ impl CellPopulation {
     /// [`PulseColumns`] executor (one engine per variant, one sorted
     /// flow-map column per `(variant, pulse)` bucket) and returns one
     /// result per group; the absolute outcome is written back to every
-    /// member. This is the fixed-width-pulse fast path — see the module
-    /// docs for when it engages.
+    /// member, and the results come back as [`CellOutcomes`]. This is
+    /// the fixed-width-pulse fast path — see the module docs for when
+    /// it engages.
     ///
     /// Crate-visible so the [`crate::pe`] operation layer can run its
     /// own columnar algorithms (adaptive ISPP, soft-program compaction)
@@ -1142,9 +1193,8 @@ impl CellPopulation {
         indices: &[usize],
         batch: &BatchSimulator,
         driver: F,
-    ) -> Vec<Result<R>>
+    ) -> CellOutcomes<R>
     where
-        R: Clone,
         F: for<'a> FnOnce(&mut PulseColumns<'a>, &mut [GroupState]) -> Vec<Result<R>>,
     {
         let (group_of, mut states) = self.group_states(indices);
@@ -1153,7 +1203,8 @@ impl CellPopulation {
             driver(&mut cols, &mut states)
         };
         debug_assert_eq!(results.len(), states.len(), "one result per group");
-        self.write_back(indices, group_of, &states, &results)
+        self.write_back(indices, &group_of, &states);
+        CellOutcomes { group_of, results }
     }
 
     /// Jumps `cycles` whole P/E cycles of `recipe` for every cell in
@@ -1178,8 +1229,9 @@ impl CellPopulation {
     ///
     /// # Errors
     ///
-    /// Per cell, engine failures ([`ArrayError::Device`]) from fallback
-    /// integrations; failed groups keep their pre-epoch state.
+    /// The first listed cell's engine failure ([`ArrayError::Device`])
+    /// from a fallback integration; failed groups keep their pre-epoch
+    /// state.
     pub fn run_epoch(
         &mut self,
         indices: &[usize],
@@ -1293,8 +1345,8 @@ impl CellPopulation {
                 }
             })
             .collect();
-        let per_cell = self.write_back(indices, group_of, &states, &results);
-        per_cell.into_iter().collect::<Result<Vec<()>>>()?;
+        self.write_back(indices, &group_of, &states);
+        CellOutcomes { group_of, results }.check(..)?;
         Ok(report)
     }
 
@@ -1376,102 +1428,15 @@ impl CellPopulation {
             .flatten()
             .collect();
 
-        let results: Vec<Result<()>> = states
-            .iter_mut()
-            .map(|s| {
-                let out = &answers[probe_of[&s.charge.to_bits()]];
-                s.charge = out.charge;
-                s.stats.injected_charge += out.wear;
-                s.stats.program_ops += cycles;
-                s.stats.erase_ops += cycles;
-                Ok(())
-            })
-            .collect();
-        let per_cell = self.write_back(indices, group_of, &states, &results);
-        per_cell.into_iter().collect::<Result<Vec<()>>>()?;
+        for s in &mut states {
+            let out = &answers[probe_of[&s.charge.to_bits()]];
+            s.charge = out.charge;
+            s.stats.injected_charge += out.wear;
+            s.stats.program_ops += cycles;
+            s.stats.erase_ops += cycles;
+        }
+        self.write_back(indices, &group_of, &states);
         Ok(report)
-    }
-
-    /// Runs an arbitrary per-cell closure once per state group on a
-    /// scratch [`FlashCell`] and writes the absolute outcome back to
-    /// every member. Returns per-index results in input order.
-    ///
-    /// This is the generic *scalar* escape hatch: fixed-width-pulse
-    /// operations take the columnar fast path instead (see the module
-    /// docs), but an opaque closure cannot be batched, so custom
-    /// per-cell algorithms route through here.
-    ///
-    /// Correctness rests on `op` being a deterministic function of the
-    /// scratch cell's `(device, charge, stats)` — which holds for every
-    /// pulse and ladder op, since the engine and tables are immutable.
-    /// Groups are fanned out over `batch` in chunks, and within a chunk
-    /// one scratch cell + engine per *variant* is reused across groups
-    /// (reset to each group's state), so the per-group cost is a charge/
-    /// stats store — not a device clone plus four table-cache probes.
-    pub fn run_grouped<R, F>(
-        &mut self,
-        indices: &[usize],
-        batch: &BatchSimulator,
-        op: F,
-    ) -> Vec<Result<R>>
-    where
-        R: Clone + Send,
-        F: Fn(&mut FlashCell, &ChargeBalanceEngine) -> Result<R> + Sync,
-    {
-        let (group_of, states) = self.group_states(indices);
-        let variants = &self.variants;
-        let kind = self.backend_kind;
-        let pcm = self.pcm;
-        // Chunked fan-out: big enough to amortise the per-variant
-        // scratch build, small enough to spread groups across cores.
-        const SCRATCH_CHUNK: usize = 64;
-        let blocks: Vec<Vec<GroupState>> = states
-            .chunks(SCRATCH_CHUNK)
-            .map(<[GroupState]>::to_vec)
-            .collect();
-        let outcomes: Vec<Vec<GroupOutcome<R>>> = batch.scatter(blocks, |block| {
-            let mut scratch: HashMap<u32, (ChargeBalanceEngine, FlashCell)> = HashMap::new();
-            block
-                .into_iter()
-                .map(|s| {
-                    let (engine, cell) = scratch.entry(s.variant).or_insert_with(|| {
-                        let device = &variants[s.variant as usize].device;
-                        (
-                            batch.engine_for_kind(kind, device),
-                            FlashCell::restore_backend(
-                                kind,
-                                pcm,
-                                device.clone(),
-                                Charge::ZERO,
-                                CellStats::default(),
-                            ),
-                        )
-                    });
-                    cell.reset(Charge::from_coulombs(s.charge), s.stats);
-                    let result = op(cell, engine);
-                    // State is captured whether or not the op failed: a
-                    // verify failure still applied its pulses, exactly as
-                    // on the historical per-cell path.
-                    GroupOutcome {
-                        charge: cell.charge().as_coulombs(),
-                        stats: cell.stats(),
-                        result,
-                    }
-                })
-                .collect()
-        });
-        let flat: Vec<GroupOutcome<R>> = outcomes.into_iter().flatten().collect();
-        let states: Vec<GroupState> = flat
-            .iter()
-            .zip(&states)
-            .map(|(o, s)| GroupState {
-                variant: s.variant,
-                charge: o.charge,
-                stats: o.stats,
-            })
-            .collect();
-        let results: Vec<Result<R>> = flat.into_iter().map(|o| o.result).collect();
-        self.write_back(indices, group_of, &states, &results)
     }
 
     fn check(&self, i: usize) -> Result<()> {
@@ -1582,6 +1547,111 @@ mod tests {
         // Unselected cells untouched.
         assert_eq!(pop.charge(5).unwrap().as_coulombs(), 0.0);
         assert_eq!(pop.stats(5).unwrap().program_ops, 0);
+    }
+
+    /// A paper-cell population whose cell `k` starts at threshold shift
+    /// `vts[layout[k]]`, with the starting charges.
+    fn population_at(vts: [f64; 3], layout: &[usize]) -> (CellPopulation, Vec<Charge>) {
+        let mut pop = CellPopulation::paper(layout.len());
+        let cfc = pop.blueprint().capacitances().cfc().as_farads();
+        let starts: Vec<Charge> = layout
+            .iter()
+            .map(|&s| Charge::from_coulombs(-vts[s] * cfc))
+            .collect();
+        for (i, &q) in starts.iter().enumerate() {
+            pop.set_charge(i, q).unwrap();
+        }
+        (pop, starts)
+    }
+
+    /// `outcomes` against the scalar path — `reference` run on a
+    /// standalone cell from each listed cell's starting charge: results
+    /// (errors included) and state columns bitwise, and every span's
+    /// `check` against the first `Err` that `iter()` yields there.
+    fn assert_matches_scalar<R: PartialEq + std::fmt::Debug>(
+        pop: &CellPopulation,
+        starts: &[Charge],
+        outcomes: &CellOutcomes<R>,
+        reference: impl Fn(&mut FlashCell, &ChargeBalanceEngine) -> Result<R>,
+    ) {
+        let batch = BatchSimulator::sequential();
+        assert_eq!(outcomes.len(), starts.len());
+        for (i, (got, &q)) in outcomes.iter().zip(starts).enumerate() {
+            let mut cell = FlashCell::paper_cell();
+            cell.set_charge(q);
+            let engine = batch.engine_for(cell.device());
+            assert_eq!(got, &reference(&mut cell, &engine), "cell {i}");
+            assert_eq!(outcomes.get(i), Some(got), "cell {i}");
+            assert_eq!(
+                pop.charge(i).unwrap().as_coulombs().to_bits(),
+                cell.charge().as_coulombs().to_bits(),
+                "cell {i}"
+            );
+            let (a, b) = (pop.stats(i).unwrap(), cell.stats());
+            assert_eq!(
+                (a.program_ops, a.erase_ops, a.injected_charge.to_bits()),
+                (b.program_ops, b.erase_ops, b.injected_charge.to_bits()),
+                "cell {i}"
+            );
+        }
+        assert!(outcomes.get(starts.len()).is_none());
+        for start in 0..=starts.len() {
+            for end in start..=starts.len() {
+                let expected = outcomes
+                    .iter()
+                    .skip(start)
+                    .take(end - start)
+                    .find_map(|r| r.as_ref().err())
+                    .map_or(Ok(()), |e| Err(e.clone()));
+                assert_eq!(outcomes.check(start..end), expected, "span {start}..{end}");
+            }
+        }
+    }
+
+    #[test]
+    fn outcomes_match_the_scalar_path_under_verify_failures() {
+        // Cell k starts in state LAYOUT[k]. Under the one shallow rung,
+        // state 0 verifies before the rung and states 1 and 2 fail with
+        // different reached thresholds, so the first failing cell
+        // (position 1) is not in the first group.
+        const LAYOUT: [usize; 8] = [0, 1, 2, 0, 2, 1, 0, 0];
+        let one_rung = |volts: f64| {
+            gnr_flash::pulse::IsppLadder::new(
+                Voltage::from_volts(volts),
+                Voltage::from_volts(0.5),
+                Voltage::from_volts(volts),
+                Time::from_microseconds(0.1),
+            )
+        };
+        let batch = BatchSimulator::sequential();
+        let indices: Vec<usize> = (0..LAYOUT.len()).collect();
+
+        let programmer = IsppProgrammer::new(one_rung(13.0), Voltage::from_volts(2.0));
+        let (mut pop, starts) = population_at([2.5, 0.0, -1.0], &LAYOUT);
+        let outcomes = pop.program_cells(&programmer, &indices, &batch);
+        assert!(outcomes.get(0).unwrap().is_ok());
+        assert!(matches!(
+            outcomes.check(..),
+            Err(ArrayError::VerifyFailed { pulses: 1, .. })
+        ));
+        assert_matches_scalar(&pop, &starts, &outcomes, |cell, engine| {
+            programmer.program_with(cell, engine)
+        });
+
+        // An already-erased level below every start sends each cell
+        // through the erase ladder.
+        let eraser = IsppEraser::new(one_rung(-13.0), Voltage::from_volts(0.3));
+        let (mut pop, starts) = population_at([0.0, 2.5, 4.0], &LAYOUT);
+        let outcomes =
+            pop.erase_block_cells(&eraser, Voltage::from_volts(-100.0), &indices, &batch);
+        assert!(outcomes.get(0).unwrap().is_ok());
+        assert!(matches!(
+            outcomes.check(..),
+            Err(ArrayError::VerifyFailed { pulses: 1, .. })
+        ));
+        assert_matches_scalar(&pop, &starts, &outcomes, |cell, engine| {
+            eraser.erase_with(cell, engine).map(|_| ())
+        });
     }
 
     #[test]

@@ -90,12 +90,8 @@ impl Eager {
             .program_cells(&self.programmer, &selected, &self.batch);
         self.page_erased[slot] = false;
         self.sweep(block, page, true);
-        Some(
-            reports
-                .into_iter()
-                .find_map(Result::err)
-                .map_or(Ok(()), |e| Err(e.to_string())),
-        )
+        let failure = reports.iter().find_map(|r| r.as_ref().err());
+        Some(failure.map_or(Ok(()), |e| Err(e.to_string())))
     }
 
     fn read(&mut self, block: usize, page: usize) -> Vec<bool> {
@@ -114,8 +110,8 @@ impl Eager {
         let failure = self
             .pop
             .erase_block_cells(&self.eraser, Voltage::from_volts(0.3), &cells, &self.batch)
-            .into_iter()
-            .find_map(Result::err);
+            .iter()
+            .find_map(|r| r.as_ref().err().cloned());
         if let Some(e) = failure {
             return Err(e.to_string());
         }

@@ -140,6 +140,9 @@ fn churn_snapshot_reports_the_acceptance_metrics() {
         "replay.segment",
         "ftl.write_batch",
         "scheduler.execute",
+        "nand.read_page",
+        "nand.program_page",
+        "nand.erase_block",
         "nand.disturb_settle",
         "population.group",
         "engine.pulse_batch",
