@@ -7,7 +7,8 @@
 //! Iterates the [`gnr_flash::experiments::registry()`] — every paper
 //! figure plus the extension studies — through the batched engine,
 //! writes each experiment's artifacts under `results/`, runs every
-//! shape check and prints the per-figure summaries. Array-layer
+//! shape check and prints the per-figure summaries; it exits 1 when a
+//! check fails or an artifact cannot be written. Array-layer
 //! experiments (trace-driven workloads, the reliability grid, the P/E
 //! operation comparisons) are appended from
 //! [`gnr_bench::extra_experiments`], since the core registry cannot
@@ -51,7 +52,10 @@ fn main() {
         for artifact in &report.artifacts {
             match write_results_file(&artifact.name, &artifact.contents) {
                 Ok(path) => println!("  [data] {} -> {}", artifact.name, path.display()),
-                Err(e) => println!("  [data] {}: write failed ({e})", artifact.name),
+                Err(e) => {
+                    failures += 1;
+                    println!("  [data] {}: write FAILED ({e})", artifact.name);
+                }
             }
         }
         println!();
@@ -83,7 +87,7 @@ fn main() {
     );
 
     if failures > 0 {
-        eprintln!("\n{failures} figure check(s) FAILED");
+        eprintln!("\n{failures} figure check(s) or result write(s) FAILED");
         std::process::exit(1);
     }
     println!("\nAll figure checks passed. CSVs under results/.");

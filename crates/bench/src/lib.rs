@@ -2,19 +2,14 @@
 //!
 //! Figure-regeneration harness for the `gnr-flash` reproduction.
 //!
-//! Two consumers:
+//! Its consumer is the `figures` binary: it regenerates every paper
+//! figure and the array-layer experiments of [`extra_experiments`],
+//! writes `results/*.csv`/`results/*.json`, runs the shape checks and
+//! prints a compact report.
 //!
-//! * the `figures` binary — regenerates every paper figure and the
-//!   array-layer experiments of [`extra_experiments`], writes
-//!   `results/*.csv`/`results/*.json`, runs the shape checks and prints a
-//!   compact report;
-//! * the Criterion benches under `benches/` — one per figure plus
-//!   ablations; each asserts its shape check before timing so
-//!   `cargo bench` doubles as a reproduction test.
-//!
-//! Array-scale timing is not done here: the standalone `perfbench/`
-//! workspace (the repository benchmark declared in `BENCHMARK.json`) is
-//! the one timing harness for the simulator stack.
+//! Timing is not done here: the standalone `perfbench/` workspace (the
+//! repository benchmark declared in `BENCHMARK.json`) is the one timing
+//! harness for the simulator stack.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

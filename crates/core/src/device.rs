@@ -278,7 +278,7 @@ impl FloatingGateTransistor {
     }
 
     /// Like [`Self::tunnel_flow`] but with the Lenzlinger–Snow
-    /// temperature correction (the temperature-ablation bench).
+    /// temperature correction.
     #[must_use]
     pub fn tunnel_flow_at(
         &self,
@@ -613,10 +613,18 @@ mod tests {
 
     #[test]
     fn temperature_raises_tunnel_flow() {
+        // The §III worked example's VFG: the current rises from the 0 K
+        // law through every temperature, and room temperature stays a
+        // modest correction.
         let d = FloatingGateTransistor::mlgnr_cnt_paper();
         let vfg = Voltage::from_volts(9.0);
-        let cold = d.tunnel_flow_at(vfg, Voltage::ZERO, Temperature::from_kelvin(250.0));
-        let hot = d.tunnel_flow_at(vfg, Voltage::ZERO, Temperature::from_kelvin(400.0));
-        assert!(hot.as_amps_per_square_meter() > cold.as_amps_per_square_meter());
+        let j0 = d.tunnel_flow(vfg, Voltage::ZERO).as_amps_per_square_meter();
+        let j_at = |kelvin: f64| {
+            d.tunnel_flow_at(vfg, Voltage::ZERO, Temperature::from_kelvin(kelvin))
+                .as_amps_per_square_meter()
+        };
+        let ladder = [j0, j_at(250.0), j_at(300.0), j_at(350.0), j_at(400.0)];
+        assert!(ladder.windows(2).all(|w| w[1] > w[0]), "{ladder:?}");
+        assert!(ladder[2] / j0 < 1.5, "300 K correction {}", ladder[2] / j0);
     }
 }

@@ -24,7 +24,6 @@ use super::{ChargeBalanceEngine, EngineMode};
 #[derive(Debug, Clone)]
 pub struct BatchSimulator {
     parallel: bool,
-    saturation_fraction: Option<f64>,
     mode: EngineMode,
 }
 
@@ -40,7 +39,6 @@ impl BatchSimulator {
     pub fn new() -> Self {
         Self {
             parallel: true,
-            saturation_fraction: None,
             mode: EngineMode::default(),
         }
     }
@@ -50,7 +48,6 @@ impl BatchSimulator {
     pub fn sequential() -> Self {
         Self {
             parallel: false,
-            saturation_fraction: None,
             mode: EngineMode::default(),
         }
     }
@@ -68,24 +65,6 @@ impl BatchSimulator {
     #[must_use]
     pub fn mode(&self) -> EngineMode {
         self.mode
-    }
-
-    /// Whether this batch fans out across threads.
-    #[must_use]
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
-    }
-
-    /// Overrides the saturation detection fraction of every engine this
-    /// batch builds.
-    #[must_use]
-    pub fn with_saturation_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            fraction > 0.0 && fraction < 1.0,
-            "saturation fraction must be in (0, 1)"
-        );
-        self.saturation_fraction = Some(fraction);
-        self
     }
 
     /// Builds the engine this batch would use for `device`, with every
@@ -106,11 +85,7 @@ impl BatchSimulator {
         kind: BackendKind,
         device: &FloatingGateTransistor,
     ) -> ChargeBalanceEngine {
-        let mut engine = ChargeBalanceEngine::new_for(kind, device).with_mode(self.mode);
-        if let Some(fraction) = self.saturation_fraction {
-            engine = engine.with_saturation_fraction(fraction);
-        }
-        engine
+        ChargeBalanceEngine::new_for(kind, device).with_mode(self.mode)
     }
 
     /// Runs every spec against one shared device, in input order.
@@ -140,22 +115,6 @@ impl BatchSimulator {
             items.into_par_iter().map(op).collect()
         } else {
             items.into_iter().map(op).collect()
-        }
-    }
-
-    /// Order-preserving fan-out over an index range `0..n` — the
-    /// struct-of-arrays primitive: `op` reads whatever shared columns it
-    /// closes over, so nothing per-cell (no device clones, no cell
-    /// structs) is materialised to distribute the work.
-    pub fn map_indices<R, F>(&self, n: usize, op: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        if self.parallel {
-            (0..n).into_par_iter().map(op).collect()
-        } else {
-            (0..n).map(op).collect()
         }
     }
 
@@ -295,16 +254,6 @@ mod tests {
         assert!(BatchSimulator::new()
             .scatter_queues(Vec::<Vec<u8>>::new(), |_, x| x)
             .is_empty());
-    }
-
-    #[test]
-    fn map_indices_matches_sequential() {
-        let shared: Vec<f64> = (0..257).map(f64::from).collect();
-        let parallel = BatchSimulator::new().map_indices(shared.len(), |i| shared[i] * 3.0);
-        let sequential =
-            BatchSimulator::sequential().map_indices(shared.len(), |i| shared[i] * 3.0);
-        assert_eq!(parallel, sequential);
-        assert_eq!(parallel[200], 600.0);
     }
 
     #[test]

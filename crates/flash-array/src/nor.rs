@@ -3,7 +3,7 @@
 //! §II of the paper: "Most NOR-type Flash memories utilize CHE
 //! programming", drawing 0.3–1 mA per cell at 4–6 V drain — against FN's
 //! sub-nanoamp. This module programs the same MLGNR-CNT cell through the
-//! lucky-electron model so benches can reproduce the paper's
+//! lucky-electron model so tests can reproduce the paper's
 //! current/energy comparison.
 
 use gnr_tunneling::che::CheModel;
@@ -182,13 +182,22 @@ mod tests {
 
     #[test]
     fn che_energy_dwarfs_fn_energy_per_cell() {
-        // The paper's §II current comparison, as energy per operation.
+        // The paper's §II comparison: FN programs a cell with under 1 nA,
+        // CHE draws 0.3–1 mA, and so costs far more energy per operation.
         let mut fn_cell = FlashCell::paper_cell();
+        let device = fn_cell.device();
+        let state = device.tunneling_state(Voltage::from_volts(15.0), Voltage::ZERO, Charge::ZERO);
+        let i_fn = state.tunnel_flow.abs().as_amps_per_square_meter()
+            * device.geometry().gate_area().as_square_meters();
+        assert!(i_fn < 1e-9, "FN cell current {i_fn:e} A");
+        let bias = CheBias::default();
+        assert!(bias.drain_current.as_milliamps() >= 0.3);
+
         fn_cell.program_default().unwrap();
         let e_fn = fn_pulse_energy(fn_cell.charge(), Voltage::from_volts(15.0));
 
         let nor = NorCell::new(FlashCell::paper_cell());
-        let e_che = nor.che_pulse_energy(&CheBias::default());
+        let e_che = nor.che_pulse_energy(&bias);
         assert!(
             e_che / e_fn > 1e3,
             "CHE {e_che:e} J vs FN {e_fn:e} J, ratio {:e}",

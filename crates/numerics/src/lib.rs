@@ -9,7 +9,7 @@
 //! linear regression. This crate provides exactly that machinery, built from
 //! scratch:
 //!
-//! * [`ode`] — fixed-step RK4 and Euler, adaptive Dormand–Prince 5(4) with a
+//! * [`ode`] — fixed-step RK4 and SDIRK2, adaptive Dormand–Prince 5(4) with a
 //!   PI step controller, cubic-Hermite dense output and zero-crossing
 //!   **event detection** (used to locate the paper's `t_sat`).
 //! * [`roots`] — bisection, Brent and Newton root finders.

@@ -6,8 +6,8 @@ use crate::{NumericsError, Result};
 
 /// The classical fourth-order Runge–Kutta method with a fixed step count.
 ///
-/// Used as the reference method in the solver ablation bench; the adaptive
-/// [`Dopri45`](crate::ode::Dopri45) is preferred for the device transients.
+/// A fixed-step cross-check of the adaptive
+/// [`Dopri45`](crate::ode::Dopri45), which integrates the device transients.
 ///
 /// # Example
 ///

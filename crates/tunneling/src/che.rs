@@ -11,7 +11,7 @@
 //! ```
 //!
 //! with `λ` the hot-electron mean free path and `E_lateral` the peak
-//! channel field near the drain. It is deliberately simple — the benches
+//! channel field near the drain. It is deliberately simple — the tests
 //! use it only to reproduce the paper's order-of-magnitude FN-vs-CHE
 //! comparison (programming current per cell, parallelism, energy).
 

@@ -20,7 +20,7 @@
 //! * [`direct`] — trapezoidal-barrier direct tunneling for thin oxides /
 //!   sub-barrier drops (the paper's §II "2–5 nm" regime).
 //! * [`wkb`] — numeric WKB transmission through arbitrary barrier
-//!   profiles, validating the analytic forms (ablation bench).
+//!   profiles, validating the analytic forms.
 //! * [`che`] — the lucky-electron channel-hot-electron injection model
 //!   (the NOR-flash programming mechanism of §II).
 //! * [`fn_plot`] — FN-plot linearisation `ln(J/E²)` vs `1/E` and

@@ -5,8 +5,7 @@ use gnr_units::{CurrentDensity, ElectricField};
 /// A tunneling current model `J(E)`.
 ///
 /// Object-safe so the device simulator can swap models at runtime (the
-/// "analytic FN vs numeric WKB vs image-force FN" ablation bench drives
-/// the same transient through each implementation).
+/// charge-balance engine holds one per tunneling path).
 ///
 /// Implementations must be odd in the field
 /// (`J(−E) = −J(E)`) and return zero at zero field.

@@ -61,8 +61,8 @@ pub fn nordheim_t(f: f64) -> f64 {
 ///
 /// Wraps an [`FnModel`] and applies `v(f)` to the exponent and `1/t(f)²`
 /// to the prefactor. At FN fields in SiO₂ the correction *increases* the
-/// current by one to three orders of magnitude — the ablation bench
-/// quantifies this against the uncorrected law.
+/// current by one to three orders of magnitude; it never lowers it below
+/// the uncorrected law.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct ImageForceFnModel {
     base: FnModel,

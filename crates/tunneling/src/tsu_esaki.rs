@@ -11,8 +11,8 @@
 //!
 //! (energies measured from the emitter Fermi level; the collector-side
 //! term of the full Tsu–Esaki kernel vanishes at FN biases where the
-//! collector states are far below). Used by the model-ablation bench to
-//! bound the error of the analytic law's prefactor.
+//! collector states are far below). Used by the tests to bound the error
+//! of the analytic law's prefactor.
 
 use gnr_numerics::integrate::gauss_legendre_composite;
 use gnr_units::constants::{BOLTZMANN, ELEMENTARY_CHARGE, REDUCED_PLANCK};

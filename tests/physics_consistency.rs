@@ -5,6 +5,7 @@ use gnr_flash::device::FloatingGateTransistor;
 use gnr_materials::interface::TunnelInterface;
 use gnr_materials::mlgnr::MultilayerGnr;
 use gnr_materials::oxide::Oxide;
+use gnr_numerics::ode::{Dopri45, OdeOptions, Rk4, Sdirk2};
 use gnr_tunneling::fn_model::FnModel;
 use gnr_tunneling::fn_plot::{barrier_from_b, extract_params, generate_plot};
 use gnr_tunneling::regime::{classify, TunnelingRegime};
@@ -122,5 +123,38 @@ fn thinner_oxide_means_higher_field_and_regime_shift() {
     assert_eq!(
         classify(&iface, Length::from_nanometers(25.0), v),
         TunnelingRegime::Negligible
+    );
+}
+
+#[test]
+fn fixed_step_solvers_match_dopri45_on_the_program_transient() {
+    // The first 10 µs of the 15 V programming transient (Figs 4–5) on the
+    // device's charge-balance RHS, state in volts (Q/CT): the fixed-step
+    // references must agree with a tightly converged Dopri45.
+    let device = FloatingGateTransistor::mlgnr_cnt_paper();
+    let ct = device.capacitances().total().as_farads();
+    let rhs = |_t: f64, y: &[f64], dydt: &mut [f64]| {
+        let q = Charge::from_coulombs(y[0] * ct);
+        let state = device.tunneling_state(Voltage::from_volts(15.0), Voltage::ZERO, q);
+        dydt[0] = state.charge_rate_amps / ct;
+    };
+    let window = 1.0e-5;
+    let reference = Dopri45::new(OdeOptions::with_tolerances(1e-12, 1e-14))
+        .integrate(rhs, 0.0, &[0.0], window)
+        .unwrap()
+        .final_state()[0];
+    let rk4 = Rk4::new(20_000)
+        .integrate(rhs, 0.0, &[0.0], window)
+        .unwrap()
+        .final_state()[0];
+    let sdirk = Sdirk2::new(2_000)
+        .integrate(rhs, 0.0, &[0.0], window)
+        .unwrap()
+        .final_state()[0];
+    assert!(reference < 0.0, "no electrons stored: {reference}");
+    assert!((rk4 - reference).abs() < 1e-6, "RK4 {rk4} vs {reference}");
+    assert!(
+        (sdirk - reference).abs() < 1e-4,
+        "SDIRK2 {sdirk} vs {reference}"
     );
 }
