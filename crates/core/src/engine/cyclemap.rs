@@ -202,6 +202,7 @@ impl CycleMap {
     /// every [`Self::iterate`] query then runs explicitly.
     #[must_use]
     pub fn build(engine: &ChargeBalanceEngine, recipe: &CycleRecipe) -> Self {
+        let _zone = gnr_telemetry::zone!("engine.cyclemap.build");
         let grid = grid_nodes(engine, recipe);
         let mut empty = Self {
             recipe: recipe.clone(),

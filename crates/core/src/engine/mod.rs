@@ -375,21 +375,20 @@ impl ChargeBalanceEngine {
         let tau0 = ct.as_farads() / i0;
 
         match spec.duration {
-            Some(d) => self.run_window(spec, y0, d.as_seconds(), false),
+            Some(d) => self.run_windows(spec, y0, [d.as_seconds()], false),
             None => {
                 // Find t_sat with a terminal event, widening the window
-                // geometrically: the flows approach each other over many
-                // decades of time.
-                let mut t_end = 1.0e4 * tau0;
-                for _ in 0..5 {
-                    let probe = self.run_window(spec, y0, t_end, true)?;
-                    if let Some(ts) = probe.saturation_time() {
-                        return self.run_window(spec, y0, 1.5 * ts.as_seconds(), false);
-                    }
-                    t_end *= 1.0e3;
+                // geometrically (the flows approach each other over many
+                // decades of time) on one resumed integration.
+                let windows = std::iter::successors(Some(1.0e4 * tau0), |t| Some(t * 1.0e3));
+                let probe = self.run_windows(spec, y0, windows.take(5), true)?;
+                match probe.saturation_time() {
+                    Some(ts) => self.run_windows(spec, y0, [1.5 * ts.as_seconds()], false),
+                    // No balance within 1e19·τ0: the probe is the longest
+                    // trace, and with no event fired it is also the
+                    // non-terminal one.
+                    None => Ok(probe),
                 }
-                // No balance within 1e19·τ0 — report the longest trace.
-                self.run_window(spec, y0, t_end / 1.0e3, false)
             }
         }
     }
@@ -552,11 +551,15 @@ impl ChargeBalanceEngine {
             .collect()
     }
 
-    fn run_window(
+    /// Integrates `spec` from `y0` through the window ends `t_ends`, each
+    /// a resumed extension of the last, and stops early at a window that
+    /// the saturation event ends when it is `terminal`. The result is the
+    /// one a single integration to the last window reached returns.
+    fn run_windows(
         &self,
         spec: &ProgramPulseSpec,
         y0: f64,
-        t_end: f64,
+        t_ends: impl IntoIterator<Item = f64>,
         terminal: bool,
     ) -> Result<TransientResult> {
         let _zone = gnr_telemetry::zone!("engine.ode");
@@ -587,9 +590,16 @@ impl ChargeBalanceEngine {
             terminal,
         };
 
-        let (sol, hits) = Dopri45::new(self.ode_options.clone())
-            .integrate_with_events(rhs, 0.0, &[y0], t_end, &[event])
-            .map_err(DeviceError::from)?;
+        let events = [event];
+        let solver = Dopri45::new(self.ode_options.clone());
+        let mut run = solver.start(rhs, 0.0, &[y0], &events)?;
+        for t_end in t_ends {
+            if run.advance_to(t_end)? {
+                break;
+            }
+        }
+        let rhs_evals = run.rhs_evaluations();
+        let (sol, hits) = run.into_parts();
 
         let samples: Vec<TransientSample> = sol
             .times()
@@ -610,7 +620,7 @@ impl ChargeBalanceEngine {
 
         gnr_telemetry::counter_add!("engine.ode.integrations", 1);
         gnr_telemetry::counter_add!("engine.ode.steps", sol.accepted_steps() as u64);
-        gnr_telemetry::counter_add!("engine.ode.rhs_evals", sol.rhs_evaluations() as u64);
+        gnr_telemetry::counter_add!("engine.ode.rhs_evals", rhs_evals as u64);
 
         let first_hit = hits.first();
         Ok(TransientResult::from_parts(

@@ -43,6 +43,10 @@ pub struct TabulatedJ {
     inner: Arc<dyn TunnelingModel>,
     /// `ln J` over uniform `ln E`.
     table: LinearInterpolator,
+    /// First node and reciprocal spacing of the uniform `ln E` grid,
+    /// which compute a query's segment instead of searching for it.
+    ln_lo: f64,
+    inv_step: f64,
     e_lo: f64,
     e_hi: f64,
 }
@@ -102,6 +106,8 @@ impl TabulatedJ {
         Self {
             inner,
             table,
+            ln_lo,
+            inv_step: 1.0 / h,
             e_lo,
             e_hi: E_MAX,
         }
@@ -125,6 +131,13 @@ impl TabulatedJ {
     pub fn inner(&self) -> &Arc<dyn TunnelingModel> {
         &self.inner
     }
+
+    /// `ln J` at `x = ln E` from the segment the uniform grid computes.
+    /// A NaN `x` casts to node 0, and `eval_near` panics on it.
+    fn ln_j(&self, x: f64) -> f64 {
+        self.table
+            .eval_near(x, ((x - self.ln_lo) * self.inv_step) as usize)
+    }
 }
 
 impl TunnelingModel for TabulatedJ {
@@ -134,8 +147,7 @@ impl TunnelingModel for TabulatedJ {
         if mag <= self.e_lo || mag >= self.e_hi {
             return self.inner.current_density(field);
         }
-        let ln_j = self.table.eval(mag.ln());
-        CurrentDensity::from_amps_per_square_meter(e.signum() * ln_j.exp())
+        CurrentDensity::from_amps_per_square_meter(e.signum() * self.ln_j(mag.ln()).exp())
     }
 
     fn name(&self) -> &'static str {
@@ -194,6 +206,59 @@ mod tests {
                 .current_density(tiny)
                 .as_amps_per_square_meter()
         );
+    }
+
+    #[test]
+    fn computed_segment_matches_the_binary_search_bitwise() {
+        for nodes in [8, 64, DEFAULT_NODES] {
+            let table = TabulatedJ::with_resolution(Arc::new(paper_like_model()), nodes);
+            let xs = table.table.xs();
+            let (lo, hi) = (xs[0], xs[xs.len() - 1]);
+            let mut probes = vec![lo, hi, table.e_lo.ln(), table.e_hi.ln(), lo - 1.0, hi + 1.0];
+            for w in xs.windows(2) {
+                probes.extend([w[0], w[0].next_up(), w[1].next_down(), 0.5 * (w[0] + w[1])]);
+            }
+            for i in 0..=10_000 {
+                probes.push(lo + (hi - lo) * f64::from(i) / 1.0e4);
+            }
+            for x in probes {
+                assert_eq!(
+                    table.ln_j(x).to_bits(),
+                    table.table.eval(x).to_bits(),
+                    "{nodes} nodes, x = {x:e}"
+                );
+            }
+            // Both field signs through the public lookup, against the
+            // binary-search formula it replaced.
+            let (e_lo, e_hi) = table.domain();
+            for i in 0..=1000 {
+                let mag = e_lo * (e_hi / e_lo).powf(f64::from(i) / 1000.0);
+                for e in [mag, -mag] {
+                    let want = if mag <= e_lo || mag >= e_hi {
+                        table
+                            .inner()
+                            .current_density(ElectricField::from_volts_per_meter(e))
+                    } else {
+                        CurrentDensity::from_amps_per_square_meter(
+                            e.signum() * table.table.eval(mag.ln()).exp(),
+                        )
+                    };
+                    let got = table.current_density(ElectricField::from_volts_per_meter(e));
+                    assert_eq!(
+                        got.as_amps_per_square_meter().to_bits(),
+                        want.as_amps_per_square_meter().to_bits(),
+                        "{nodes} nodes, E = {e:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite nodes")]
+    fn nan_field_panics() {
+        let table = TabulatedJ::new(Arc::new(paper_like_model()));
+        let _ = table.current_density(ElectricField::from_volts_per_meter(f64::NAN));
     }
 
     #[test]

@@ -488,16 +488,37 @@ impl NandArray {
         self.page_erased[slot] = false;
         self.log_exposure(block, page, true);
         reports.check(..)?;
-        // Injected program-status failure: the pulses landed (the page
-        // is consumed, disturb happened) but the device reports fail —
-        // keyed on the block's erase generation so the decision is
-        // replay-order-independent.
+        self.program_status(block, page)
+    }
+
+    /// The injected program-status rule: the pulses landed (the page is
+    /// consumed, disturb happened) but the device reports fail — keyed
+    /// on the block's erase generation so the decision is
+    /// replay-order-independent. `Ok` without an armed plan.
+    fn program_status(&self, block: usize, page: usize) -> Result<()> {
         if self
             .faults
             .as_ref()
             .is_some_and(|p| p.program_fails(block, page, self.erase_count[block]))
         {
             return Err(ArrayError::ProgramFailed { block, page });
+        }
+        Ok(())
+    }
+
+    /// The injected grown-bad-block rule, checked before an erase: the
+    /// erase is attempted (the wear counter advances) but the device
+    /// reports a failed status and the cells keep their state — the
+    /// data stays readable so the FTL can relocate it out of the dying
+    /// block. `Ok` without an armed plan.
+    fn erase_status(&mut self, block: usize) -> Result<()> {
+        if self
+            .faults
+            .as_ref()
+            .is_some_and(|p| p.block_goes_bad(block, self.erase_count[block] + 1))
+        {
+            self.erase_count[block] += 1;
+            return Err(ArrayError::BlockRetired { block });
         }
         Ok(())
     }
@@ -548,18 +569,7 @@ impl NandArray {
             });
         }
         self.settle_block(block);
-        // Injected grown-bad block: the erase is attempted (the wear
-        // counter advances) but the device reports a failed status and
-        // the cells keep their state — the data stays readable so the
-        // FTL can relocate it out of the dying block.
-        if self
-            .faults
-            .as_ref()
-            .is_some_and(|p| p.block_goes_bad(block, self.erase_count[block] + 1))
-        {
-            self.erase_count[block] += 1;
-            return Err(ArrayError::BlockRetired { block });
-        }
+        self.erase_status(block)?;
         // Block erase hits every cell of the block at once — one erase
         // transient (or ISPP ladder) per distinct cell state, fanned out
         // in parallel.
@@ -649,17 +659,11 @@ impl NandArray {
             let slot = self.page_slot(block, page).expect("validated above");
             self.page_erased[slot] = false;
             self.log_exposure(block, page, true);
-            let mut outcome = reports.check(start..end);
-            // Same injected program-status check as the per-op path —
-            // merged rounds must stay bit-identical to sequential calls.
-            if outcome.is_ok()
-                && self
-                    .faults
-                    .as_ref()
-                    .is_some_and(|p| p.program_fails(block, page, self.erase_count[block]))
-            {
-                outcome = Err(ArrayError::ProgramFailed { block, page });
-            }
+            // The per-op path's rule — merged rounds must stay
+            // bit-identical to sequential calls.
+            let outcome = reports
+                .check(start..end)
+                .and_then(|()| self.program_status(block, page));
             results[j] = Some(outcome);
         }
         results
@@ -742,16 +746,10 @@ impl NandArray {
                 continue;
             }
             self.settle_block(block);
-            // Injected grown-bad block: attempted (wear advances) but
-            // skipped from the merged submission — the per-op ordering
-            // of `erase_block` exactly.
-            if self
-                .faults
-                .as_ref()
-                .is_some_and(|p| p.block_goes_bad(block, self.erase_count[block] + 1))
-            {
-                self.erase_count[block] += 1;
-                results.push(Some(Err(ArrayError::BlockRetired { block })));
+            // A grown-bad block is skipped from the merged submission —
+            // the per-op ordering of `erase_block` exactly.
+            if let Err(e) = self.erase_status(block) {
+                results.push(Some(Err(e)));
                 spans.push(None);
                 continue;
             }
@@ -809,14 +807,7 @@ impl NandArray {
             });
         }
         self.settle_block(block);
-        if self
-            .faults
-            .as_ref()
-            .is_some_and(|p| p.block_goes_bad(block, self.erase_count[block] + 1))
-        {
-            self.erase_count[block] += 1;
-            return Err(ArrayError::BlockRetired { block });
-        }
+        self.erase_status(block)?;
         let base = self.cell_index(block, 0, 0);
         let indices: Vec<usize> =
             (base..base + self.config.pages_per_block * self.config.page_width).collect();

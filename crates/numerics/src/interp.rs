@@ -81,7 +81,41 @@ impl LinearInterpolator {
         if x >= *self.xs.last().expect("non-empty") {
             return *self.ys.last().expect("non-empty");
         }
-        let i = segment(&self.xs, x);
+        self.lerp(segment(&self.xs, x), x)
+    }
+
+    /// [`Self::eval`] with the segment search started at node `guess`
+    /// instead of a binary search. The walk from `guess` ends on the
+    /// segment the binary search finds, so the value has the same bits;
+    /// a guess within a node or two of `x`, as a uniform grid computes
+    /// it, makes the lookup O(1).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x` is NaN, as [`Self::eval`] does.
+    #[must_use]
+    pub fn eval_near(&self, x: f64, guess: usize) -> f64 {
+        let last = self.xs.len() - 1;
+        if x <= self.xs[0] {
+            return self.ys[0];
+        }
+        if x >= self.xs[last] {
+            return self.ys[last];
+        }
+        assert!(!x.is_nan(), "finite nodes");
+        // `xs[0] < x < xs[last]`: both walks stop inside the node range.
+        let mut i = guess.min(last - 1);
+        while self.xs[i] > x {
+            i -= 1;
+        }
+        while self.xs[i + 1] <= x {
+            i += 1;
+        }
+        self.lerp(i, x)
+    }
+
+    /// The linear interpolant on segment `i` at `x`.
+    fn lerp(&self, i: usize, x: f64) -> f64 {
         let t = (x - self.xs[i]) / (self.xs[i + 1] - self.xs[i]);
         self.ys[i] + t * (self.ys[i + 1] - self.ys[i])
     }

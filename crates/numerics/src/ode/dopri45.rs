@@ -2,7 +2,7 @@
 //! cubic-Hermite event localisation.
 
 use crate::ode::event::{Event, EventOccurrence};
-use crate::ode::solution::{hermite, OdeSolution};
+use crate::ode::solution::{hermite, OdeSolution, SolutionMark};
 use crate::ode::OdeRhs;
 use crate::{NumericsError, Result};
 
@@ -166,149 +166,63 @@ impl Dopri45 {
         t_end: f64,
         events: &[Event<'_>],
     ) -> Result<(OdeSolution, Vec<EventOccurrence>)> {
+        let mut run = self.start(rhs, t0, y0, events)?;
+        run.advance_to(t_end)?;
+        Ok(run.into_parts())
+    }
+
+    /// Starts an integration at `(t0, y0)` that successive, growing
+    /// windows extend with [`Dopri45Run::advance_to`] — a search for a
+    /// horizon whose end is not known in advance integrates each stretch
+    /// once instead of restarting from `t0` for every wider window.
+    ///
+    /// # Errors
+    ///
+    /// [`NumericsError::InvalidInput`] for an empty state.
+    pub fn start<'a, R: OdeRhs>(
+        &'a self,
+        rhs: R,
+        t0: f64,
+        y0: &[f64],
+        events: &'a [Event<'a>],
+    ) -> Result<Dopri45Run<'a, R>> {
         if y0.is_empty() {
             return Err(NumericsError::InvalidInput("empty initial state".into()));
         }
-        if !(t_end - t0).is_finite() || t_end <= t0 {
-            return Err(NumericsError::InvalidInput(format!(
-                "integration interval [{t0}, {t_end}] must be finite and increasing"
-            )));
-        }
-
-        let n = y0.len();
         let mut sol = OdeSolution::new();
-        let mut occurrences = Vec::new();
-
-        let mut t = t0;
-        let mut y = y0.to_vec();
-        let mut k = vec![vec![0.0; n]; 7];
-        rhs.eval(t, &y, &mut k[0]);
+        let mut k = vec![vec![0.0; y0.len()]; 7];
+        rhs.eval(t0, y0, &mut k[0]);
         sol.record_rhs_evals(1);
-        sol.push(t, &y, &k[0]);
-
-        let mut g_prev: Vec<f64> = events.iter().map(|e| (e.condition)(t, &y)).collect();
-
-        let h_max = self.opts.h_max.unwrap_or(t_end - t0);
-        let mut h = match self.opts.h_init {
-            Some(h) => h.min(h_max),
-            None => self.initial_step(&rhs, t, &y, &k[0], t_end, &mut sol),
+        sol.push(t0, y0, &k[0]);
+        let state = StepState {
+            t: t0,
+            y: y0.to_vec(),
+            k,
+            h: None,
+            err_prev: 1.0,
+            g_prev: events.iter().map(|e| (e.condition)(t0, y0)).collect(),
+            steps: 0,
         };
-
-        let mut err_prev: f64 = 1.0;
-        let mut y_new = vec![0.0; n];
-        let mut y_stage = vec![0.0; n];
-        let mut steps = 0usize;
-
-        while t < t_end {
-            if steps >= self.opts.max_steps {
-                return Err(NumericsError::NoConvergence {
-                    method: "dopri45",
-                    iterations: steps,
-                });
-            }
-            steps += 1;
-            h = h.min(t_end - t).min(h_max);
-            if h <= f64::EPSILON * t.abs().max(1.0) {
-                return Err(NumericsError::StepSizeUnderflow { t });
-            }
-
-            // Stages 2..7 (k[0] is FSAL from the previous step).
-            for s in 1..7 {
-                for i in 0..n {
-                    let mut acc = 0.0;
-                    for (j, kj) in k.iter().enumerate().take(s) {
-                        acc += A[s][j] * kj[i];
-                    }
-                    y_stage[i] = y[i] + h * acc;
-                }
-                let ts = t + C[s] * h;
-                let (head, tail) = k.split_at_mut(s);
-                let _ = head;
-                rhs.eval(ts, &y_stage, &mut tail[0]);
-            }
-            sol.record_rhs_evals(6);
-
-            // Fifth-order solution and embedded error.
-            let mut err_sq = 0.0;
-            for i in 0..n {
-                let mut y5 = 0.0;
-                let mut y4 = 0.0;
-                for s in 0..7 {
-                    y5 += B5[s] * k[s][i];
-                    y4 += B4[s] * k[s][i];
-                }
-                y_new[i] = y[i] + h * y5;
-                let e = h * (y5 - y4);
-                let scale = self.opts.atol + self.opts.rtol * y[i].abs().max(y_new[i].abs());
-                err_sq += (e / scale) * (e / scale);
-            }
-            // A non-finite error estimate (overflow/NaN in a trial stage)
-            // must count as a rejection: f64::max ignores NaN, so a naive
-            // `.max()` would silently *accept* a poisoned step.
-            let err_rms = (err_sq / n as f64).sqrt();
-            let err = if err_rms.is_finite() {
-                err_rms.max(1.0e-16)
-            } else {
-                f64::INFINITY
-            };
-
-            if err <= 1.0 {
-                // Accept. PI controller (Gustafsson): h *= s * err^-a * prev^b.
-                let t_new = t + h;
-                // FSAL: k[6] = f(t+h, y_new) is the next step's k[0].
-                let k_last = k[6].clone();
-
-                // Event detection over [t, t_new].
-                let mut terminal_hit: Option<(f64, Vec<f64>)> = None;
-                for (ei, ev) in events.iter().enumerate() {
-                    let g_hi = (ev.condition)(t_new, &y_new);
-                    if ev.direction.matches(g_prev[ei], g_hi) {
-                        let (te, ye) = locate_crossing(ev, t, t_new, &y, &y_new, &k[0], &k_last);
-                        occurrences.push(EventOccurrence {
-                            label: ev.label.to_string(),
-                            t: te,
-                            state: ye.clone(),
-                        });
-                        if ev.terminal {
-                            match &terminal_hit {
-                                Some((tt, _)) if *tt <= te => {}
-                                _ => terminal_hit = Some((te, ye)),
-                            }
-                        }
-                    }
-                    g_prev[ei] = g_hi;
-                }
-
-                if let Some((te, ye)) = terminal_hit {
-                    let mut dydt = vec![0.0; n];
-                    rhs.eval(te, &ye, &mut dydt);
-                    sol.record_rhs_evals(1);
-                    sol.record_accept();
-                    sol.truncate_at(te, ye, dydt);
-                    occurrences.sort_by(|a, b| a.t.total_cmp(&b.t));
-                    return Ok((sol, occurrences));
-                }
-
-                t = t_new;
-                y.copy_from_slice(&y_new);
-                k[0].copy_from_slice(&k_last);
-                sol.record_accept();
-                sol.push(t, &y, &k[0]);
-
-                let factor = self.opts.safety * err.powf(-0.7 / 5.0) * err_prev.powf(0.4 / 5.0);
-                h *= factor.clamp(0.2, 5.0);
-                err_prev = err;
-            } else {
-                sol.record_reject();
-                h *= (self.opts.safety * err.powf(-0.2)).clamp(0.1, 0.9);
-            }
-        }
-
-        occurrences.sort_by(|a, b| a.t.total_cmp(&b.t));
-        Ok((sol, occurrences))
+        Ok(Dopri45Run {
+            solver: self,
+            rhs,
+            events,
+            t0,
+            t_end: t0,
+            resume: Some(Checkpoint {
+                state,
+                mark: sol.mark(),
+                occurrences: 0,
+            }),
+            sol,
+            occurrences: Vec::new(),
+            rewound_rhs_evals: 0,
+        })
     }
 
-    /// Hairer-style automatic initial step selection.
+    /// Hairer-style automatic initial step selection. Also returns
+    /// whether `t_end` bounded the step, so that a longer window must
+    /// choose it anew.
     fn initial_step<R: OdeRhs>(
         &self,
         rhs: &R,
@@ -317,7 +231,7 @@ impl Dopri45 {
         f0: &[f64],
         t_end: f64,
         sol: &mut OdeSolution,
-    ) -> f64 {
+    ) -> (f64, bool) {
         let n = y0.len();
         let sc: Vec<f64> = y0
             .iter()
@@ -330,7 +244,9 @@ impl Dopri45 {
         } else {
             0.01 * (d0 / d1)
         };
-        let h0 = h0.min(t_end - t0);
+        let span = t_end - t0;
+        let probe_bound = shortens(h0, span);
+        let h0 = h0.min(span);
 
         // One explicit Euler probe to estimate the second derivative.
         let y1: Vec<f64> = (0..n).map(|i| y0[i] + h0 * f0[i]).collect();
@@ -356,7 +272,299 @@ impl Dopri45 {
         } else {
             h
         };
-        h.min(t_end - t0)
+        (h.min(span), probe_bound || shortens(h, span))
+    }
+}
+
+/// Whether `h.min(limit)` differs from `h`: `limit` bounds the step (a
+/// NaN `h` gives way to any limit).
+fn shortens(h: f64, limit: f64) -> bool {
+    !(h <= limit)
+}
+
+/// Everything the next step attempt reads.
+#[derive(Debug, Clone)]
+struct StepState {
+    t: f64,
+    y: Vec<f64>,
+    /// Stage derivatives; `k[0] = f(t, y)` carries over (FSAL).
+    k: Vec<Vec<f64>>,
+    /// The next trial step; `None` until the initial step is chosen,
+    /// which may depend on the window's end.
+    h: Option<f64>,
+    err_prev: f64,
+    /// The event functions at `(t, y)`.
+    g_prev: Vec<f64>,
+    steps: usize,
+}
+
+/// Where a later window resumes: the step state before a window's first
+/// step that its end shortened, and how much solution and how many
+/// event occurrences had been recorded by then.
+#[derive(Debug, Clone)]
+struct Checkpoint {
+    state: StepState,
+    mark: SolutionMark,
+    occurrences: usize,
+}
+
+/// A Dopri45 integration that longer windows extend
+/// ([`Dopri45::start`]).
+///
+/// After [`Self::advance_to`]`(t_end)` returns `Ok`, the run holds
+/// bit for bit the solution, counters and occurrences that a fresh
+/// [`Dopri45::integrate_with_events`] to `t_end` returns. Each window
+/// clips its last steps to land on its end, so the run keeps the state
+/// from before the window's first clipped step (before the initial step
+/// when the end bounded that) and the next window rewinds to it: every
+/// step before it is taken once over all windows.
+pub struct Dopri45Run<'a, R> {
+    solver: &'a Dopri45,
+    rhs: R,
+    events: &'a [Event<'a>],
+    t0: f64,
+    /// End of the last completed window (`t0` before the first).
+    t_end: f64,
+    sol: OdeSolution,
+    occurrences: Vec<EventOccurrence>,
+    /// Where the next window starts; `None` once a terminal event
+    /// stopped a window before any clipped step, which every longer
+    /// window repeats.
+    resume: Option<Checkpoint>,
+    /// Right-hand-side evaluations of rewound tails and failed windows.
+    rewound_rhs_evals: usize,
+}
+
+impl<R: OdeRhs> Dopri45Run<'_, R> {
+    /// Integrates on to `t_end`, no earlier than the last window's end.
+    /// Returns whether a terminal event stopped the integration; once
+    /// one has, the solution ends at the crossing, as a fresh run's
+    /// would.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Dopri45::integrate`], plus
+    /// [`NumericsError::InvalidInput`] for an end before the last
+    /// window's. A failed window leaves the run as the last completed
+    /// window left it.
+    pub fn advance_to(&mut self, t_end: f64) -> Result<bool> {
+        let t0 = self.t0;
+        if !(t_end - t0).is_finite() || t_end <= t0 {
+            return Err(NumericsError::InvalidInput(format!(
+                "integration interval [{t0}, {t_end}] must be finite and increasing"
+            )));
+        }
+        if t_end < self.t_end {
+            return Err(NumericsError::InvalidInput(format!(
+                "window end {t_end} precedes the last window's end {}",
+                self.t_end
+            )));
+        }
+        let Some(from) = self.resume.take() else {
+            return Ok(true);
+        };
+        // The last window's tail stays aside until this window completes.
+        let tail = self.sol.split_off(from.mark);
+        let tail_events = self.occurrences.split_off(from.occurrences);
+        match self.step_window(&from, t_end) {
+            Ok((stopped, resume)) => {
+                self.rewound_rhs_evals += tail.rhs_evaluations();
+                self.t_end = t_end;
+                self.resume = resume;
+                Ok(stopped)
+            }
+            Err(e) => {
+                self.rewound_rhs_evals += self.sol.split_off(from.mark).rhs_evaluations();
+                self.sol.append(tail);
+                self.occurrences.truncate(from.occurrences);
+                self.occurrences.extend(tail_events);
+                self.resume = Some(from);
+                Err(e)
+            }
+        }
+    }
+
+    /// The trajectory of the last completed window.
+    #[must_use]
+    pub fn solution(&self) -> &OdeSolution {
+        &self.sol
+    }
+
+    /// The event occurrences of the last completed window, in time
+    /// order.
+    #[must_use]
+    pub fn occurrences(&self) -> &[EventOccurrence] {
+        &self.occurrences
+    }
+
+    /// Right-hand-side evaluations made so far: the solution's own
+    /// count plus those of rewound window tails and failed windows.
+    #[must_use]
+    pub fn rhs_evaluations(&self) -> usize {
+        self.sol.rhs_evaluations() + self.rewound_rhs_evals
+    }
+
+    /// The solution and event occurrences (in time order) of the last
+    /// completed window.
+    #[must_use]
+    pub fn into_parts(self) -> (OdeSolution, Vec<EventOccurrence>) {
+        (self.sol, self.occurrences)
+    }
+
+    /// Steps from `from` to `t_end`, recording nodes and occurrences.
+    /// Returns whether a terminal event stopped the window, and where
+    /// the next window resumes.
+    fn step_window(&mut self, from: &Checkpoint, t_end: f64) -> Result<(bool, Option<Checkpoint>)> {
+        let opts = &self.solver.opts;
+        let h_max = opts.h_max.unwrap_or(t_end - self.t0);
+        let mut s = from.state.clone();
+        let n = s.y.len();
+        let mut resume = None;
+        let mut h = match s.h {
+            Some(h) => h,
+            None => {
+                let (h, bound) = match opts.h_init {
+                    Some(h) => (h.min(h_max), opts.h_max.is_none() && shortens(h, h_max)),
+                    None => self.solver.initial_step(
+                        &self.rhs,
+                        s.t,
+                        &s.y,
+                        &s.k[0],
+                        t_end,
+                        &mut self.sol,
+                    ),
+                };
+                if bound {
+                    resume = Some(from.clone());
+                }
+                h
+            }
+        };
+
+        let mut y_new = vec![0.0; n];
+        let mut y_stage = vec![0.0; n];
+
+        while s.t < t_end {
+            if resume.is_none() && shortens(h, t_end - s.t) {
+                resume = Some(Checkpoint {
+                    state: StepState {
+                        h: Some(h),
+                        ..s.clone()
+                    },
+                    mark: self.sol.mark(),
+                    occurrences: self.occurrences.len(),
+                });
+            }
+            if s.steps >= opts.max_steps {
+                return Err(NumericsError::NoConvergence {
+                    method: "dopri45",
+                    iterations: s.steps,
+                });
+            }
+            s.steps += 1;
+            h = h.min(t_end - s.t).min(h_max);
+            if h <= f64::EPSILON * s.t.abs().max(1.0) {
+                return Err(NumericsError::StepSizeUnderflow { t: s.t });
+            }
+
+            // Stages 2..7 (k[0] is FSAL from the previous step).
+            for st in 1..7 {
+                let (done, next) = s.k.split_at_mut(st);
+                for i in 0..n {
+                    let mut acc = 0.0;
+                    for (j, kj) in done.iter().enumerate() {
+                        acc += A[st][j] * kj[i];
+                    }
+                    y_stage[i] = s.y[i] + h * acc;
+                }
+                self.rhs.eval(s.t + C[st] * h, &y_stage, &mut next[0]);
+            }
+            self.sol.record_rhs_evals(6);
+
+            // Fifth-order solution and embedded error.
+            let mut err_sq = 0.0;
+            for i in 0..n {
+                let mut y5 = 0.0;
+                let mut y4 = 0.0;
+                for (st, k) in s.k.iter().enumerate() {
+                    y5 += B5[st] * k[i];
+                    y4 += B4[st] * k[i];
+                }
+                y_new[i] = s.y[i] + h * y5;
+                let e = h * (y5 - y4);
+                let scale = opts.atol + opts.rtol * s.y[i].abs().max(y_new[i].abs());
+                err_sq += (e / scale) * (e / scale);
+            }
+            // A non-finite error estimate (overflow/NaN in a trial stage)
+            // must count as a rejection: f64::max ignores NaN, so a naive
+            // `.max()` would silently *accept* a poisoned step.
+            let err_rms = (err_sq / n as f64).sqrt();
+            let err = if err_rms.is_finite() {
+                err_rms.max(1.0e-16)
+            } else {
+                f64::INFINITY
+            };
+
+            if err <= 1.0 {
+                // Accept. PI controller (Gustafsson): h *= s * err^-a * prev^b.
+                let t_new = s.t + h;
+
+                // Event detection over [t, t_new].
+                let mut terminal_hit: Option<(f64, Vec<f64>)> = None;
+                for (ei, ev) in self.events.iter().enumerate() {
+                    let g_hi = (ev.condition)(t_new, &y_new);
+                    if ev.direction.matches(s.g_prev[ei], g_hi) {
+                        let (te, ye) =
+                            locate_crossing(ev, s.t, t_new, &s.y, &y_new, &s.k[0], &s.k[6]);
+                        self.occurrences.push(EventOccurrence {
+                            label: ev.label.to_string(),
+                            t: te,
+                            state: ye.clone(),
+                        });
+                        if ev.terminal {
+                            match &terminal_hit {
+                                Some((tt, _)) if *tt <= te => {}
+                                _ => terminal_hit = Some((te, ye)),
+                            }
+                        }
+                    }
+                    s.g_prev[ei] = g_hi;
+                }
+
+                if let Some((te, ye)) = terminal_hit {
+                    let mut dydt = vec![0.0; n];
+                    self.rhs.eval(te, &ye, &mut dydt);
+                    self.sol.record_rhs_evals(1);
+                    self.sol.record_accept();
+                    self.sol.truncate_at(te, ye, dydt);
+                    self.occurrences.sort_by(|a, b| a.t.total_cmp(&b.t));
+                    return Ok((true, resume));
+                }
+
+                s.t = t_new;
+                core::mem::swap(&mut s.y, &mut y_new);
+                // FSAL: k[6] = f(t+h, y_new) is the next step's k[0].
+                s.k.swap(0, 6);
+                self.sol.record_accept();
+                self.sol.push(s.t, &s.y, &s.k[0]);
+
+                let factor = opts.safety * err.powf(-0.7 / 5.0) * s.err_prev.powf(0.4 / 5.0);
+                h *= factor.clamp(0.2, 5.0);
+                s.err_prev = err;
+            } else {
+                self.sol.record_reject();
+                h *= (opts.safety * err.powf(-0.2)).clamp(0.1, 0.9);
+            }
+        }
+
+        self.occurrences.sort_by(|a, b| a.t.total_cmp(&b.t));
+        // No step was clipped: a longer window goes on from here.
+        let resume = resume.unwrap_or_else(|| Checkpoint {
+            state: StepState { h: Some(h), ..s },
+            mark: self.sol.mark(),
+            occurrences: self.occurrences.len(),
+        });
+        Ok((false, Some(resume)))
     }
 }
 

@@ -38,7 +38,7 @@ mod rk4;
 mod sdirk2;
 mod solution;
 
-pub use dopri45::{Dopri45, OdeOptions};
+pub use dopri45::{Dopri45, Dopri45Run, OdeOptions};
 pub use event::{CrossingDirection, Event, EventOccurrence};
 pub use rk4::Rk4;
 pub use sdirk2::Sdirk2;

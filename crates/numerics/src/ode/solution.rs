@@ -47,6 +47,44 @@ impl OdeSolution {
         self.n_rhs_evals += n;
     }
 
+    /// The node count and counters now, for [`Self::split_off`].
+    pub(crate) fn mark(&self) -> SolutionMark {
+        SolutionMark {
+            len: self.times.len(),
+            accepted: self.n_accepted,
+            rejected: self.n_rejected,
+            rhs_evals: self.n_rhs_evals,
+        }
+    }
+
+    /// Cuts the trajectory back to `mark` and returns what was cut: the
+    /// later nodes, with the counts recorded since `mark` as counters.
+    /// [`Self::append`] undoes it.
+    pub(crate) fn split_off(&mut self, mark: SolutionMark) -> Self {
+        let tail = Self {
+            times: self.times.split_off(mark.len),
+            states: self.states.split_off(mark.len),
+            derivs: self.derivs.split_off(mark.len),
+            n_accepted: self.n_accepted - mark.accepted,
+            n_rejected: self.n_rejected - mark.rejected,
+            n_rhs_evals: self.n_rhs_evals - mark.rhs_evals,
+        };
+        self.n_accepted = mark.accepted;
+        self.n_rejected = mark.rejected;
+        self.n_rhs_evals = mark.rhs_evals;
+        tail
+    }
+
+    /// Appends a tail cut by [`Self::split_off`], nodes and counts.
+    pub(crate) fn append(&mut self, tail: Self) {
+        self.times.extend(tail.times);
+        self.states.extend(tail.states);
+        self.derivs.extend(tail.derivs);
+        self.n_accepted += tail.n_accepted;
+        self.n_rejected += tail.n_rejected;
+        self.n_rhs_evals += tail.n_rhs_evals;
+    }
+
     /// Truncates the trajectory after a terminal event at time `t`,
     /// appending the event state as the final node.
     pub(crate) fn truncate_at(&mut self, t: f64, y: Vec<f64>, dydt: Vec<f64>) {
@@ -190,6 +228,15 @@ impl OdeSolution {
         );
         out
     }
+}
+
+/// A node count and the solver counters at one point of an integration.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SolutionMark {
+    len: usize,
+    accepted: usize,
+    rejected: usize,
+    rhs_evals: usize,
 }
 
 /// Cubic Hermite interpolation of the state at `t ∈ [t0, t1]`.
